@@ -9,14 +9,15 @@
 //!   the clean AES, and the failing fanout property 21 of the AES-T2500
 //!   Trojan.  Per-property times for the *session* path come from the
 //!   streaming `FlowEvent` API, so the flow is not instrumented or re-run.
-//! * `flow_encode_ablation`: the whole flow through the legacy re-encode
-//!   path (one fresh AIG + CNF + solver per property) against the
-//!   incremental `DetectionSession` path (one bit-blast, one live solver) —
-//!   the headline speedup of the session API.
+//! * `flow_encode_ablation`: the flow's properties re-encoded one by one
+//!   (one fresh AIG + CNF + solver per check, in flow order up to the first
+//!   genuine failure, spurious counterexamples resolved as the flow resolves
+//!   them) against the incremental `DetectionSession` path (one bit-blast,
+//!   one live solver) — the headline speedup of the session API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use htd_bench::{
-    check_property, flow_properties, prepared_benchmark, run_detection, run_session_detection,
+    check_property, flow_properties, prepared_benchmark, reencode_flow, run_detection,
     session_property_timings,
 };
 use htd_trusthub::registry::Benchmark;
@@ -49,7 +50,7 @@ fn property_runtime(c: &mut Criterion) {
     group.finish();
 }
 
-/// Legacy per-property re-encode vs. the incremental session, end to end.
+/// Per-property re-encode vs. the incremental session, end to end.
 fn flow_encode_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_encode_ablation");
     group.sample_size(10);
@@ -60,15 +61,16 @@ fn flow_encode_ablation(c: &mut Criterion) {
         Benchmark::BasicRsaHtFree,
     ] {
         let (design, config) = prepared_benchmark(benchmark);
+        let input = (design, config);
         group.bench_with_input(
             BenchmarkId::new("reencode_per_property", benchmark.name()),
-            &(design.clone(), config.clone()),
-            |b, (design, config)| b.iter(|| run_detection(design, config)),
+            &input,
+            |b, (design, config)| b.iter(|| reencode_flow(design, config)),
         );
         group.bench_with_input(
             BenchmarkId::new("incremental_session", benchmark.name()),
-            &(design, config),
-            |b, (design, config)| b.iter(|| run_session_detection(design, config)),
+            &input,
+            |b, (design, config)| b.iter(|| run_detection(design, config)),
         );
     }
     group.finish();

@@ -11,10 +11,9 @@ pub mod trajectory;
 
 use std::time::Duration;
 
-#[allow(deprecated)] // the legacy detector is kept as the re-encode reference path
-use htd_core::TrojanDetector;
+use htd_core::diagnosis::{benign_fanin_of, diagnose};
 use htd_core::{BackendChoice, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder};
-use htd_ipc::{CheckerOptions, IntervalProperty, PropertyChecker, PropertyReport};
+use htd_ipc::{CheckOutcome, CheckerOptions, IntervalProperty, PropertyChecker, PropertyReport};
 use htd_rtl::structural::{fanout_levels, get_fanout};
 use htd_rtl::{Design, DesignError, ValidatedDesign};
 use htd_trusthub::registry::Benchmark;
@@ -36,28 +35,9 @@ pub fn prepared_benchmark(benchmark: Benchmark) -> (ValidatedDesign, DetectorCon
     (design, config)
 }
 
-/// Runs the full detection flow through the **legacy re-encode path**: one
-/// fresh AIG + CNF + solver per property.
-///
-/// This is the baseline the `property_runtime` benchmark compares
-/// [`run_session_detection`] against; new measurements should use the
-/// session path.
-///
-/// # Panics
-///
-/// Panics if the flow rejects the design (it never does for the registry
-/// benchmarks).
-#[must_use]
-#[allow(deprecated)]
-pub fn run_detection(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
-    TrojanDetector::with_config(design, config.clone())
-        .expect("benchmark designs are accepted by the detector")
-        .run()
-        .expect("detection flow completes")
-}
-
 /// Runs the full detection flow through an incremental [`DetectionSession`]
-/// (one bit-blast, one live solver for the whole flow).
+/// (one bit-blast, one live solver for the whole flow) on the builtin
+/// solver.
 ///
 /// [`DetectionSession`]: htd_core::DetectionSession
 ///
@@ -66,11 +46,11 @@ pub fn run_detection(design: &ValidatedDesign, config: &DetectorConfig) -> Detec
 /// Panics if the flow rejects the design (it never does for the registry
 /// benchmarks).
 #[must_use]
-pub fn run_session_detection(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
+pub fn run_detection(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
     run_session_detection_with_backend(design, config, BackendChoice::Builtin)
 }
 
-/// [`run_session_detection`] with an explicit SAT backend.
+/// [`run_detection`] with an explicit SAT backend.
 ///
 /// # Panics
 ///
@@ -170,6 +150,55 @@ pub fn check_property(
     .check(property)
 }
 
+/// The detection flow's property checks re-encoded one by one: every
+/// property of [`flow_properties`], in flow order, on a fresh one-shot
+/// [`PropertyChecker`] (new AIG, CNF and solver per check).  A spurious
+/// counterexample — one the benign-state waivers explain — is resolved the
+/// way the flow resolves it: the property is checked again with the benign
+/// fan-in assumed equal.  Stops at the first genuine failure and returns
+/// the number of flow properties that held.
+///
+/// # Panics
+///
+/// Panics if a property needs more resolution rounds than
+/// `config.max_resolution_iterations` (the session reports that as an
+/// error; no registry benchmark gets there).
+#[must_use]
+pub fn reencode_flow(design: &ValidatedDesign, config: &DetectorConfig) -> usize {
+    let checker = PropertyChecker::with_options(design, config.checker);
+    let mut held = 0;
+    for mut property in flow_properties(design) {
+        let mut rounds = 0;
+        while let CheckOutcome::Fails(counterexample) = checker.check(&property).outcome {
+            let spurious = diagnose(
+                design,
+                &counterexample,
+                &property.assume_equal,
+                &config.benign_state,
+            )
+            .is_spurious();
+            if !spurious {
+                return held;
+            }
+            rounds += 1;
+            assert!(
+                rounds <= config.max_resolution_iterations,
+                "{}: resolution limit",
+                property.name
+            );
+            let waived = benign_fanin_of(
+                design,
+                &property.prove_equal,
+                &property.assume_equal,
+                &config.benign_state,
+            );
+            property = property.with_extra_assumptions(&waived);
+        }
+        held += 1;
+    }
+    held
+}
+
 /// A synthetic non-interfering pipeline of the given depth: `width`-bit data
 /// flows through `depth` xor-with-round-constant stages.  Used by the
 /// depth-scaling experiment (E9) to show that the number of properties — and
@@ -255,13 +284,48 @@ mod tests {
     }
 
     #[test]
-    fn session_and_legacy_helpers_agree() {
+    fn one_shot_checks_agree_with_the_session_on_a_secure_flow() {
         let design = xor_pipeline(5, 16).unwrap();
-        let config = DetectorConfig::default();
-        let legacy = run_detection(&design, &config);
-        let session = run_session_detection(&design, &config);
-        assert_eq!(legacy.outcome.is_secure(), session.outcome.is_secure());
-        assert_eq!(legacy.properties_checked(), session.properties_checked());
+        let report = run_detection(&design, &DetectorConfig::default());
+        let properties = flow_properties(&design);
+        assert!(report.outcome.is_secure());
+        assert_eq!(report.properties_checked(), properties.len());
+        assert!(properties
+            .iter()
+            .all(|p| check_property(&design, p, true).holds()));
+    }
+
+    /// The re-encode arm does the session's work: on BasicRSA it resolves
+    /// the waived counterexample and reaches the end of the flow, and on an
+    /// infected AES it stops at the level the session flags.
+    #[test]
+    fn reencode_flow_checks_what_the_session_checks() {
+        for benchmark in [Benchmark::BasicRsaHtFree, Benchmark::AesT2500] {
+            let (design, config) = prepared_benchmark(benchmark);
+            let report = run_detection(&design, &config);
+            let held = reencode_flow(&design, &config);
+            if report.outcome.is_secure() {
+                // Without the resolution the walk stops at the waived level.
+                let unresolved = flow_properties(&design)
+                    .iter()
+                    .take_while(|property| check_property(&design, property, true).holds())
+                    .count();
+                assert!(
+                    unresolved < held,
+                    "{}: no spurious counterexample",
+                    benchmark.name()
+                );
+                assert_eq!(held, flow_properties(&design).len(), "{}", benchmark.name());
+                assert_eq!(held, report.properties_checked(), "{}", benchmark.name());
+            } else {
+                assert_eq!(
+                    held + 1,
+                    report.properties_checked(),
+                    "{}",
+                    benchmark.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The perf-trajectory harness behind `htd bench --json`.
 //!
-//! Runs the bundled benchmark set through both property-checking engines —
-//! the sequential single-miter reference path and the sharded
-//! [`PropertyScheduler`](htd_core::PropertyScheduler) — and collects one
-//! [`TrajectoryRecord`] per design: wall-clock for each engine, verdict, and
-//! the solver work counters (conflicts, propagations, restarts, clause-GC
+//! Runs the bundled benchmark set through the flow executor twice — at the
+//! requested worker count and at one worker (the
+//! [`PropertyScheduler`](htd_core::PropertyScheduler) otherwise unchanged) —
+//! and collects one [`TrajectoryRecord`] per design: wall-clock for each
+//! worker count, verdict, and the solver work counters (conflicts, propagations, restarts, clause-GC
 //! and LBD totals).  [`to_json`] renders the records as a self-contained
 //! `BENCH_*.json` file so future changes have a baseline to diff against.
 //!
@@ -15,12 +15,12 @@
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use htd_core::{BackendChoice, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder};
+use htd_core::{BackendChoice, DetectorConfig, PropertyScheduler, SessionBuilder};
 
 use htd_trusthub::registry::Benchmark;
 
-/// How many times each (design, engine) pair is run; the fastest run is
-/// recorded.
+/// How many times each (design, worker count) pair is run; the fastest run
+/// is recorded.
 pub const MEASURE_RUNS: usize = 3;
 
 /// One benchmark's measurements for the perf-trajectory file.
@@ -30,21 +30,21 @@ pub struct TrajectoryRecord {
     pub name: String,
     /// One-line verdict (`secure`, or the detection mechanism).
     pub verdict: String,
-    /// Properties checked by the flow (scheduler engine).
+    /// Properties checked by the flow.
     pub properties_checked: usize,
-    /// Spurious counterexamples resolved (scheduler engine).
+    /// Spurious counterexamples resolved.
     pub spurious_resolved: usize,
-    /// Best wall-clock of the sharded scheduler engine, in seconds.
+    /// Best wall-clock at the requested worker count, in seconds.
     pub wall_secs: f64,
-    /// Best wall-clock of the sequential single-miter engine, in seconds.
+    /// Best wall-clock of the same executor at one worker, in seconds.
     pub sequential_secs: f64,
-    /// Solver conflicts across the whole flow (scheduler engine).
+    /// Solver conflicts across the whole flow.
     pub conflicts: u64,
-    /// Solver propagations across the whole flow (scheduler engine).
+    /// Solver propagations across the whole flow.
     pub propagations: u64,
-    /// Solver restarts across the whole flow (scheduler engine).
+    /// Solver restarts across the whole flow.
     pub restarts: u64,
-    /// Solver decisions across the whole flow (scheduler engine).
+    /// Solver decisions across the whole flow.
     pub decisions: u64,
     /// Clause garbage collections across the whole flow.
     pub gc_runs: u64,
@@ -92,7 +92,7 @@ pub struct TrajectoryRecord {
 }
 
 impl TrajectoryRecord {
-    /// Sequential wall-clock divided by scheduler wall-clock.
+    /// One-worker wall-clock divided by the requested-worker wall-clock.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         if self.wall_secs > 0.0 {
@@ -128,7 +128,11 @@ struct RunOutcome {
     snapshot_bytes_cloned: u64,
 }
 
-fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice) -> RunOutcome {
+fn run_once(
+    benchmark: Benchmark,
+    scheduler: PropertyScheduler,
+    backend: &BackendChoice,
+) -> RunOutcome {
     let design = benchmark.build().expect("bundled benchmarks build");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
@@ -136,7 +140,7 @@ fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice)
     };
     let mut session = SessionBuilder::new(design)
         .config(config)
-        .engine(engine)
+        .scheduler(scheduler)
         .backend(backend.clone())
         .build()
         .expect("bundled benchmarks are accepted");
@@ -154,9 +158,9 @@ fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice)
     }
 }
 
-/// Measures one benchmark with both engines (the flow-graph executor at
-/// `jobs` workers with `pipeline` controlling level pipelining, and the
-/// sequential single-miter reference), solving on `backend`.
+/// Measures one benchmark on the flow executor at `jobs` workers and at one
+/// worker, `pipeline` controlling level pipelining in both, solving on
+/// `backend`.
 #[must_use]
 pub fn measure(
     benchmark: Benchmark,
@@ -164,8 +168,8 @@ pub fn measure(
     pipeline: bool,
     backend: &BackendChoice,
 ) -> TrajectoryRecord {
-    let scheduled =
-        EngineChoice::Scheduled(PropertyScheduler::new(jobs).with_level_pipelining(pipeline));
+    let scheduled = PropertyScheduler::new(jobs).with_level_pipelining(pipeline);
+    let single = PropertyScheduler::new(NonZeroUsize::MIN).with_level_pipelining(pipeline);
     let mut wall_secs = f64::INFINITY;
     let mut sequential_secs = f64::INFINITY;
     let mut measured = None;
@@ -175,7 +179,7 @@ pub fn measure(
             wall_secs = outcome.secs;
         }
         measured = Some(outcome);
-        let sequential = run_once(benchmark, EngineChoice::Sequential, backend);
+        let sequential = run_once(benchmark, single, backend);
         if sequential.secs < sequential_secs {
             sequential_secs = sequential.secs;
         }
@@ -268,6 +272,9 @@ pub fn to_json(
     // `watcher_bytes_cloned`; v4 tagged the trajectory with the SAT backend
     // it measured; v3 added the fork cost model of the arena-backed clause
     // store: per-flow fork counts, snapshot bytes and compaction words.)
+    // `sequential_secs` keeps its name but now times the same executor at
+    // jobs=1; rows recorded before that measured a separate single-miter
+    // engine.
     out.push_str("  \"schema\": \"htd-bench-trajectory-v6\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(

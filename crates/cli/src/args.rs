@@ -156,8 +156,9 @@ pub enum Command {
     /// Regenerate Table I of the paper on the bundled benchmarks.
     Table1,
     /// Run the perf-trajectory benchmark harness: the Table-I set (or a
-    /// smoke subset) through the sequential and sharded engines, printing a
-    /// comparison table and optionally writing a `BENCH_*.json` file.
+    /// smoke subset) through the flow executor at `jobs = N` and at
+    /// `jobs = 1`, printing a comparison table and optionally writing a
+    /// `BENCH_*.json` file.
     Bench {
         /// Write the JSON trajectory to this path.
         json: Option<PathBuf>,
@@ -165,7 +166,7 @@ pub enum Command {
         jobs: Option<usize>,
         /// Run only the cheap smoke subset (used by CI).
         smoke: bool,
-        /// Disable cross-level pipelining in the scheduled engine.
+        /// Disable cross-level pipelining in the executor.
         no_pipeline: bool,
         /// The SAT backend to measure (rows and the JSON header carry the
         /// tag, so trajectories of different backends never get compared
@@ -572,7 +573,7 @@ SUBCOMMANDS:
     stats       design statistics and the structural fanout levels
     baselines   bounded model checking, random testing, UCI and FANCI
     table1      regenerate Table I of the paper on the bundled benchmarks
-    bench       perf-trajectory harness (sequential vs sharded engine timings)
+    bench       perf-trajectory harness (flow executor at --jobs N vs jobs=1)
     sat         solve a DIMACS CNF file (SAT-competition output format)
     lint        check the workspace sources against the repo invariants
                 (unsafe-audit, determinism, strict-env, exhaustive-stats,
@@ -640,9 +641,10 @@ SUBMIT FLAGS:
 
 BENCH FLAGS:
     --json FILE              write the BENCH_*.json perf-trajectory file
-    --jobs N                 worker shards for the sharded engine
+    --jobs N                 worker shards of the measured run (the jobs=1
+                             run of the same executor is the seq column)
     --smoke                  run only the cheap CI smoke subset
-    --no-pipeline            disable cross-level pipelining in the scheduled engine
+    --no-pipeline            disable cross-level pipelining in both runs
     --backend ...            measure an alternative SAT backend (rows and the
                              JSON header carry the backend tag); portfolio:B1,B2,…
                              races the members per solve task and the table

@@ -13,8 +13,8 @@ use htd_baselines::uci::{unused_circuit_identification, UciOptions};
 use htd_bench::trajectory;
 use htd_core::replay::replay_counterexample;
 use htd_core::{
-    DetectError, DetectionOutcome, DetectionReport, DetectorConfig, EngineChoice, FlowEvent,
-    PropertyScheduler, SessionBuilder,
+    DetectError, DetectionOutcome, DetectionReport, DetectorConfig, FlowEvent, PropertyScheduler,
+    SessionBuilder,
 };
 use htd_rtl::export::fanout_dot;
 use htd_rtl::netlist;
@@ -56,8 +56,8 @@ pub enum CliError {
         /// The underlying message.
         message: String,
     },
-    /// A `serve`/`submit` configuration value (a flag or an `HTD_SERVE_*`
-    /// environment variable) was rejected.
+    /// A configuration value was rejected: a flag (e.g. a `--benign` name
+    /// the design does not have) or an `HTD_SERVE_*` environment variable.
     Config {
         /// The underlying message.
         message: String,
@@ -375,8 +375,15 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     let benign = args
         .benign
         .iter()
-        .filter_map(|name| d.lookup(name))
-        .collect::<Vec<_>>();
+        .map(|name| {
+            d.lookup(name).ok_or_else(|| CliError::Config {
+                message: format!(
+                    "--benign {name}: the design `{}` has no signal named `{name}`",
+                    d.name()
+                ),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let config = DetectorConfig {
         benign_state: benign,
         ..DetectorConfig::default()
@@ -389,7 +396,7 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     let mut session = SessionBuilder::new(design.clone())
         .config(config)
         .backend(args.backend.clone())
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()?;
     let report: DetectionReport = if args.progress {
         eprintln!(
@@ -457,8 +464,8 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
 }
 
 /// `htd bench`: the perf-trajectory harness — run the benchmark set through
-/// the sequential and sharded engines, print a comparison table, and write
-/// the `BENCH_*.json` file when requested.
+/// the flow executor at `jobs` workers and at one worker, print a
+/// comparison table, and write the `BENCH_*.json` file when requested.
 fn bench(
     json: Option<&Path>,
     jobs: Option<usize>,
@@ -487,7 +494,7 @@ fn bench(
         "Benchmark",
         "Verdict",
         "wall (s)",
-        "seq (s)",
+        "jobs=1 (s)",
         "speedup",
         "conflicts",
         "GC",
@@ -516,7 +523,7 @@ fn bench(
     let total_seq: f64 = records.iter().map(|r| r.sequential_secs).sum();
     let _ = writeln!(
         out,
-        "total: {total_wall:.3}s sharded ({} jobs) vs {total_seq:.3}s sequential ({:.2}x)",
+        "total: {total_wall:.3}s at jobs={} vs {total_seq:.3}s at jobs=1 ({:.2}x)",
         jobs.get(),
         if total_wall > 0.0 {
             total_seq / total_wall
@@ -620,7 +627,7 @@ fn stats_text(design: &ValidatedDesign) -> String {
     out
 }
 
-fn run_flow_summary(design: &ValidatedDesign) -> Result<String, DetectError> {
+fn flow_summary(design: &ValidatedDesign) -> Result<String, DetectError> {
     let mut session = SessionBuilder::new(design.clone()).build()?;
     Ok(session.run()?.summary())
 }
@@ -629,7 +636,7 @@ fn baselines_text(design: &ValidatedDesign, bound: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "baseline comparison for `{}`", design.design().name());
 
-    let report = run_flow_summary(design).unwrap_or_else(|e| format!("flow not applicable: {e}"));
+    let report = flow_summary(design).unwrap_or_else(|e| format!("flow not applicable: {e}"));
     let _ = writeln!(out, "  IPC flow (paper):       {report}");
 
     let bmc = bounded_trojan_search(
@@ -797,6 +804,24 @@ endmodule
         match err {
             CliError::Flow(DetectError::Backend { .. }) => {}
             other => panic!("expected Flow(Backend), got {other:?}"),
+        }
+        std::fs::remove_file(input).ok();
+    }
+
+    #[test]
+    fn detect_rejects_an_unknown_benign_register() {
+        let input = write_temp("htd_cli_detect_benign_input.v", INFECTED);
+        let command = Command::Detect(DetectArgs {
+            input: input.clone(),
+            benign: vec!["no_such_reg".to_string()],
+            ..DetectArgs::default()
+        });
+        let err = run(&command).unwrap_err();
+        match &err {
+            CliError::Config { message } => {
+                assert!(message.contains("no_such_reg"), "{message}");
+            }
+            other => panic!("expected Config, got {other:?}"),
         }
         std::fs::remove_file(input).ok();
     }

@@ -13,8 +13,8 @@
 //!    behaviour, and likewise adds an equality assumption for `x`.
 //!
 //! This module extracts the candidate `x` signals from a counterexample and
-//! classifies them against the engineer-supplied waiver list, so the flow in
-//! [`crate::TrojanDetector`] can re-verify automatically where allowed and
+//! classifies them against the engineer-supplied waiver list, so a
+//! [`crate::DetectionSession`] can re-verify automatically where allowed and
 //! report a suspected Trojan otherwise.
 
 use std::collections::BTreeSet;

@@ -3,7 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors reported by [`crate::TrojanDetector`].
+/// Errors reported by [`crate::SessionBuilder`] and
+/// [`crate::DetectionSession`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DetectError {

@@ -30,8 +30,10 @@
 //! The primary entry point is the **session API**:
 //!
 //! * [`SessionBuilder`] — configures a run: an owned design, a
-//!   [`DetectorConfig`] and a [`BackendChoice`] (bundled CDCL solver, an
-//!   external DIMACS-speaking binary, or an IPASIR solver shared library).
+//!   [`DetectorConfig`], a [`BackendChoice`] (bundled CDCL solver, an
+//!   external DIMACS-speaking binary, an IPASIR solver shared library, or a
+//!   racing portfolio of those) and a [`PropertyScheduler`] (worker count,
+//!   level pipelining).
 //! * [`DetectionSession`] — owns one live, incremental miter encoding
 //!   ([`htd_ipc::MiterSession`]) and runs Algorithm 1 against it: the whole
 //!   init/fanout/coverage sequence performs **one** bit-blast, expresses each
@@ -43,9 +45,11 @@
 //!   documented on the type); consumed by the CLI for live output and by the
 //!   benchmark harness for per-property timing.
 //!
-//! The deprecated [`TrojanDetector`] remains as the borrow-tied, re-encode-
-//! per-property reference path; it runs the exact same flow skeleton, so the
-//! equivalence suite can compare the two.
+//! One executor runs every flow: the flow-graph scheduler solves each
+//! level's per-signal sub-properties on forks of the session's solver,
+//! inline at one worker and on a [`SharedSolvePool`] otherwise.  The
+//! one-shot [`htd_ipc::PropertyChecker`] remains for single properties
+//! (e.g. the aggregate Theorem-1 check in [`aggregate`]).
 //!
 //! # Quickstart
 //!
@@ -105,16 +109,12 @@ mod session;
 
 pub use error::DetectError;
 pub use flow::DetectorConfig;
+pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
 // Re-exported so budget consumers (the serve tier, CLI flags) need no
 // direct `htd-sat` dependency to configure a run.
-#[allow(deprecated)]
-pub use flow::TrojanDetector;
-pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
 pub use htd_sat::{BudgetTracker, RacePolicy, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
 pub use scheduler::{
     PipelineStats, PropertyScheduler, SharedSolvePool, JOBS_ENV_VAR, LEVEL_PIPELINE_ENV_VAR,
 };
-pub use session::{
-    BackendChoice, DetectionSession, EngineChoice, FlowEvent, SessionBuilder, PORTFOLIO_ENV_VAR,
-};
+pub use session::{BackendChoice, DetectionSession, FlowEvent, SessionBuilder, PORTFOLIO_ENV_VAR};

@@ -46,7 +46,7 @@ pub struct ReplayedCounterexample {
 ///
 /// ```
 /// use htd_core::replay::replay_counterexample;
-/// use htd_core::{DetectionOutcome, TrojanDetector};
+/// use htd_core::{DetectionOutcome, SessionBuilder};
 /// use htd_rtl::Design;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -62,7 +62,7 @@ pub struct ReplayedCounterexample {
 /// d.add_output("out", d.signal(data))?;
 /// let design = d.validated()?;
 ///
-/// let report = TrojanDetector::new(&design)?.run()?;
+/// let report = SessionBuilder::new(design.clone()).build()?.run()?;
 /// let DetectionOutcome::PropertyFailed { counterexample, .. } = &report.outcome else {
 ///     panic!("the Trojan is detected");
 /// };

@@ -1,16 +1,16 @@
 //! The flow-graph executor: a generic ready-queue over [`FlowGraph`] nodes.
 //!
-//! PR 2's scheduler parallelised *within* one fanout level: the level's
-//! per-signal sub-properties solved on forked solver shards, but whole levels
-//! and resolution rounds still serialised.  The executor in this module
-//! lifts the same shard model to the whole graph: the coordinator thread
-//! prepares generations (lowering + Tseitin encoding + a frozen snapshot per
-//! level, see [`MiterSession::prepare_level`]) ahead of the merge frontier,
-//! one shared worker pool pulls *(generation, sub-property)* tasks from a
-//! ready queue, and results merge strictly in node order.  Independent
-//! sub-properties from **different levels** therefore solve concurrently —
-//! the master encodes level `k + 1` while level `k`'s forks are still
-//! solving.
+//! This is the only executor of Algorithm 1.  Each fanout level's property
+//! is split into per-signal sub-properties solved on forked solver shards.
+//! The coordinator thread prepares generations (lowering, Tseitin encoding
+//! and a frozen snapshot per level, see [`MiterSession::prepare_level`])
+//! ahead of the merge frontier, the workers of a [`SharedSolvePool`] pull
+//! *(generation, sub-property)* tasks from the flow's ready queue, and
+//! results merge strictly in node order.  Independent sub-properties from
+//! **different levels** therefore solve concurrently — the master encodes
+//! level `k + 1` while level `k`'s forks are still solving.  A run at one
+//! effective worker uses no pool at all: the coordinator solves every task
+//! itself, at the merge frontier.
 //!
 //! # Determinism guarantee
 //!
@@ -46,7 +46,8 @@
 //! `HTD_JOBS` environment variable or call [`SessionBuilder::jobs`] to
 //! change it).  Level pipelining is on by default; set `HTD_LEVEL_PIPELINE=0`
 //! or use [`PropertyScheduler::with_level_pipelining`] to fall back to
-//! merge-gated solving.
+//! merge-gated solving.  Either environment variable is only consulted for
+//! a choice the caller left unset.
 //!
 //! [`SessionBuilder::jobs`]: crate::SessionBuilder::jobs
 //! [`MiterSession::prepare_level`]: htd_ipc::MiterSession::prepare_level
@@ -54,12 +55,10 @@
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use htd_ipc::{
-    CheckOutcome, IntervalProperty, MiterSession, PreparedLevel, PropertyReport, TaskOutcome,
-};
+use htd_ipc::{CheckOutcome, MiterSession, PreparedLevel, TaskOutcome};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -68,7 +67,7 @@ use crate::error::DetectError;
 use crate::flow::DetectorConfig;
 use crate::flowgraph::FlowGraph;
 use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-use crate::session::{FlowEvent, PropertyEngine};
+use crate::session::FlowEvent;
 
 /// Environment variable overriding the default worker count of new sessions.
 pub const JOBS_ENV_VAR: &str = "HTD_JOBS";
@@ -85,18 +84,22 @@ pub const LEVEL_PIPELINE_ENV_VAR: &str = "HTD_LEVEL_PIPELINE";
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PropertyScheduler {
     jobs: NonZeroUsize,
-    pipeline_levels: bool,
+    /// `None` until chosen: a session resolves it against
+    /// `HTD_LEVEL_PIPELINE` when it is built.
+    pipeline_levels: Option<bool>,
     oversubscribe: bool,
 }
 
 impl PropertyScheduler {
-    /// A scheduler running up to `jobs` worker shards, with level pipelining
-    /// at its default (on, unless `HTD_LEVEL_PIPELINE=0`).
+    /// A scheduler running up to `jobs` worker shards.  Level pipelining is
+    /// left unset: [`SessionBuilder::build`](crate::SessionBuilder::build)
+    /// resolves it to its default (on, unless `HTD_LEVEL_PIPELINE=0`) unless
+    /// [`with_level_pipelining`](Self::with_level_pipelining) chose it.
     #[must_use]
     pub fn new(jobs: NonZeroUsize) -> Self {
         PropertyScheduler {
             jobs,
-            pipeline_levels: Self::default_level_pipelining(),
+            pipeline_levels: None,
             oversubscribe: false,
         }
     }
@@ -129,8 +132,16 @@ impl PropertyScheduler {
     /// schedule).  Reports are identical either way.
     #[must_use]
     pub fn with_level_pipelining(mut self, enabled: bool) -> Self {
-        self.pipeline_levels = enabled;
+        self.pipeline_levels = Some(enabled);
         self
+    }
+
+    /// Fills an unset pipelining choice from `HTD_LEVEL_PIPELINE`.
+    pub(crate) fn with_env_defaults(mut self) -> Result<Self, String> {
+        if self.pipeline_levels.is_none() {
+            self.pipeline_levels = Some(Self::try_default_level_pipelining()?);
+        }
+        Ok(self)
     }
 
     /// The configured worker count.
@@ -139,10 +150,12 @@ impl PropertyScheduler {
         self.jobs
     }
 
-    /// `true` if sub-properties of different levels may solve concurrently.
+    /// `true` if sub-properties of different levels may solve concurrently
+    /// (an unset choice reads as the default, on; a built session's
+    /// scheduler is always resolved).
     #[must_use]
     pub fn pipelines_levels(&self) -> bool {
-        self.pipeline_levels
+        self.pipeline_levels.unwrap_or(true)
     }
 
     /// The machine's available parallelism (1 if it cannot be determined).
@@ -171,18 +184,6 @@ impl PropertyScheduler {
         })
     }
 
-    /// [`try_default_jobs`](Self::try_default_jobs), panicking on a
-    /// malformed `HTD_JOBS` — misconfigured environments fail loudly, like
-    /// the strict `HTD_GC_*` overrides.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_JOBS` is set to anything but a positive integer.
-    #[must_use]
-    pub fn default_jobs() -> NonZeroUsize {
-        Self::try_default_jobs().unwrap_or_else(|message| panic!("{message}"))
-    }
-
     /// The default level-pipelining mode: on, unless the
     /// `HTD_LEVEL_PIPELINE` environment variable disables it.
     ///
@@ -204,23 +205,6 @@ impl PropertyScheduler {
                  (use 1/true/on/yes or 0/false/off/no); unset it for the default (on)"
             )),
         }
-    }
-
-    /// [`try_default_level_pipelining`](Self::try_default_level_pipelining),
-    /// panicking on a malformed `HTD_LEVEL_PIPELINE`.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_LEVEL_PIPELINE` is set to an unrecognised value.
-    #[must_use]
-    pub fn default_level_pipelining() -> bool {
-        Self::try_default_level_pipelining().unwrap_or_else(|message| panic!("{message}"))
-    }
-}
-
-impl Default for PropertyScheduler {
-    fn default() -> Self {
-        PropertyScheduler::new(Self::default_jobs())
     }
 }
 
@@ -253,33 +237,6 @@ pub struct PipelineStats {
     /// store each clone is a handful of flat-buffer memcpys proportional to
     /// the master's live database size at the prepare boundary.
     pub snapshot_bytes_cloned: u64,
-}
-
-/// Engine over a [`MiterSession`] driven level-at-a-time — the fallback for
-/// backends that cannot fork snapshots (the pipelined executor requires
-/// forks; this path is merely sharded within each level, sequential on the
-/// master).
-pub(crate) struct SchedulerEngine<'a> {
-    pub(crate) miter: &'a mut MiterSession,
-    pub(crate) jobs: NonZeroUsize,
-}
-
-impl PropertyEngine for SchedulerEngine<'_> {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError> {
-        self.miter
-            .check_level(design, property, self.jobs)
-            .map_err(|e| DetectError::Backend {
-                message: e.to_string(),
-            })
-    }
-
-    fn finish(&mut self) -> SolverStats {
-        self.miter.finish_level_flow()
-    }
 }
 
 /// One prepared generation in flight: the frozen sub-property tasks plus the
@@ -333,19 +290,13 @@ impl GenJob {
     }
 }
 
-/// The shared ready queue workers pull from.
-struct WorkQueue {
-    queue: VecDeque<(Arc<GenJob>, usize)>,
-    shutdown: bool,
-}
-
 /// Per-flow coordination state, shared between the flow's coordinator thread
-/// and whichever workers solve its tasks — the flow's own scoped threads, or
-/// the global workers of a [`SharedSolvePool`] multiplexing many concurrent
-/// flows.  Arc'd so pool workers can outlive any single flow.
+/// and the workers of the [`SharedSolvePool`] that solves its tasks (the
+/// caller's pool, or the run's private one).  Arc'd so pool workers can
+/// outlive any single flow.
 struct FlowShared {
-    work: Mutex<WorkQueue>,
-    work_cv: Condvar,
+    /// The flow's ready queue of *(generation, task)* pairs.
+    work: Mutex<VecDeque<(Arc<GenJob>, usize)>>,
     /// Completed-task counter; workers bump it under the lock before
     /// notifying, so a coordinator that re-checks `merge_ready` after
     /// acquiring the lock can never miss a wake-up.
@@ -371,11 +322,7 @@ struct FlowShared {
 impl FlowShared {
     fn new(cancelled: Arc<AtomicBool>) -> Self {
         FlowShared {
-            work: Mutex::new(WorkQueue {
-                queue: VecDeque::new(),
-                shutdown: false,
-            }),
-            work_cv: Condvar::new(),
+            work: Mutex::new(VecDeque::new()),
             progress: Mutex::new(0),
             progress_cv: Condvar::new(),
             cancelled,
@@ -388,17 +335,11 @@ impl FlowShared {
     /// Pops one ready task without blocking (pool workers poll flows
     /// round-robin instead of parking on per-flow condvars).
     fn try_pop(&self) -> Option<(Arc<GenJob>, usize)> {
-        self.work
-            .lock()
-            .expect("no poisoned locks")
-            .queue
-            .pop_front()
+        self.work.lock().expect("no poisoned locks").pop_front()
     }
 
-    /// Executes one task and publishes its result: the single code path
-    /// shared by scoped worker threads and pool workers, so the bookkeeping
-    /// (cross-level evidence, outstanding count, progress wake-up) cannot
-    /// drift between the two execution modes.
+    /// Executes one task on a pool worker and publishes its result:
+    /// cross-level evidence, outstanding count, progress wake-up.
     fn run_task(&self, job: &Arc<GenJob>, index: usize) {
         {
             let gens = self.active_gens.lock().expect("no poisoned locks");
@@ -454,17 +395,19 @@ struct PoolInner {
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// A process-wide solver worker pool multiplexing many concurrent detection
-/// flows over one set of threads.
+/// The solver worker pool every multi-worker flow solves on, multiplexing
+/// any number of concurrent flows over one set of threads.
 ///
-/// Each flow run under the pipelined executor normally spawns its own scoped
-/// worker threads; a service running many flows at once would oversubscribe
-/// the machine with `flows x jobs` solver threads.  Attaching a
-/// `SharedSolvePool` to each session
+/// A session without an attached pool runs each multi-worker
+/// [`run`](crate::DetectionSession::run) on a private pool of its effective
+/// worker count, shut down and joined before the run returns.  A service
+/// running many flows at once would then oversubscribe the machine with
+/// `flows x jobs` solver threads; attaching one `SharedSolvePool` to every
+/// session
 /// ([`DetectionSession::attach_pool`](crate::DetectionSession::attach_pool))
-/// replaces the per-flow threads with this pool's fixed worker set: flows
-/// register their ready queues, and workers pick one *(generation, task)* at
-/// a time **round-robin across flows** — fair-share scheduling at task
+/// shares this pool's fixed worker set instead: flows register their ready
+/// queues, and workers pick one *(generation, task)* at a time
+/// **round-robin across flows** — fair-share scheduling at task
 /// granularity, so a many-task tenant cannot starve a small one (a started
 /// solve is never preempted, though; fairness kicks in at every task
 /// boundary).
@@ -587,12 +530,48 @@ impl SharedSolvePool {
     }
 }
 
-/// Runs the full flow on the pipelined graph executor.  Requires a backend
-/// that can fork ([`MiterSession::backend_can_fork`]).
+/// Winds a flow down on every exit from [`run_pipelined`] — a verdict, an
+/// error or a panicking observer alike: trips the kill switch so speculative
+/// stragglers stop, drops the queued tasks, unhooks the flow from its pool
+/// and joins the workers of a private pool.
+struct WindDown<'a> {
+    shared: Arc<FlowShared>,
+    attached: Option<&'a SharedSolvePool>,
+    private: Option<SharedSolvePool>,
+}
+
+impl WindDown<'_> {
+    /// The pool solving this flow's tasks; `None` on inline schedules.
+    fn pool(&self) -> Option<&SharedSolvePool> {
+        self.attached.or(self.private.as_ref())
+    }
+}
+
+impl Drop for WindDown<'_> {
+    fn drop(&mut self) {
+        self.shared.cancelled.store(true, Ordering::SeqCst);
+        self.shared
+            .work
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        if let Some(pool) = self.pool() {
+            // In-flight tasks of this flow run to completion on their own
+            // Arcs; deregistering only stops workers from picking up more.
+            pool.deregister(&self.shared);
+        }
+        if let Some(private) = &self.private {
+            private.shutdown();
+        }
+    }
+}
+
+/// Runs the full flow on the flow-graph executor.
 ///
-/// `pool` switches task execution from flow-owned scoped threads to the
-/// given shared pool; `cancel` installs an external kill switch (observed by
-/// every in-flight solve's interrupt hook and surfaced as
+/// `pool` solves the tasks on the given shared pool; without one, a run at
+/// two or more effective workers spawns a private [`SharedSolvePool`] and
+/// joins it before returning.  `cancel` installs an external kill switch
+/// (observed by every in-flight solve's interrupt hook and surfaced as
 /// [`DetectError::Cancelled`]).
 pub(crate) fn run_pipelined(
     design: &ValidatedDesign,
@@ -605,14 +584,6 @@ pub(crate) fn run_pipelined(
 ) -> Result<(DetectionReport, PipelineStats), DetectError> {
     let workers = scheduler.effective_workers();
     let pipeline = scheduler.pipelines_levels();
-    // With a single effective worker no two tasks can ever solve
-    // concurrently, so the coordinator solves everything itself: no worker
-    // threads, no condvar hand-offs, and generations at the merge frontier
-    // skip their snapshot clone (tasks fork straight off the unmutated
-    // master instead — identical content, identical reports).  A shared pool
-    // disables the inline fast path: its whole point is that *other* threads
-    // solve the tasks, whatever this flow's nominal worker count.
-    let inline = pool.is_none() && workers.get() == 1;
     let mut graph = FlowGraph::plan(design, config)?;
     // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
     let start = Instant::now();
@@ -628,197 +599,308 @@ pub(crate) fn run_pipelined(
     let shared = Arc::new(FlowShared::new(
         cancel.map_or_else(|| Arc::new(AtomicBool::new(false)), Arc::clone),
     ));
+    // With a single effective worker no two tasks can ever solve
+    // concurrently, so the coordinator solves everything itself: no pool, no
+    // hand-offs, and generations at the merge frontier skip their snapshot
+    // clone (tasks fork straight off the unmutated master instead —
+    // identical content, identical reports).  An attached pool disables the
+    // inline fast path: its whole point is that *other* threads solve the
+    // tasks, whatever this flow's nominal worker count.
+    let wind_down = WindDown {
+        shared: Arc::clone(&shared),
+        attached: pool,
+        private: (pool.is_none() && workers.get() > 1).then(|| SharedSolvePool::new(workers)),
+    };
+    let pool = wind_down.pool();
+    let inline = pool.is_none();
     if let Some(pool) = pool {
         pool.register(Arc::clone(&shared));
     }
 
-    let result = std::thread::scope(|scope| {
-        if !inline && pool.is_none() {
-            // Flow-owned workers park on the flow's condvar until tasks (or
-            // shutdown) arrive.  Pool mode skips these: the pool's global
-            // workers poll the registered flows instead.
-            for _ in 0..workers.get() {
-                let shared = &shared;
-                scope.spawn(move || loop {
-                    let item = {
-                        let mut w = shared.work.lock().expect("no poisoned locks");
-                        loop {
-                            if let Some(item) = w.queue.pop_front() {
-                                break Some(item);
-                            }
-                            if w.shutdown {
-                                break None;
-                            }
-                            w = shared.work_cv.wait(w).expect("no poisoned locks");
-                        }
-                    };
-                    let Some((job, index)) = item else { return };
-                    shared.run_task(&job, index);
-                });
-            }
+    let dispatch = |job: &Arc<GenJob>, stats: &mut PipelineStats| {
+        let n = job.prepared.num_tasks();
+        stats.generations_prepared += 1;
+        stats.tasks_dispatched += n as u64;
+        if job.prepared.has_snapshot() {
+            stats.snapshot_forks += 1;
+            stats.snapshot_bytes_cloned += job.prepared.snapshot_bytes();
         }
+        if n == 0 || inline {
+            // Inline schedules solve at the merge frontier; nothing is
+            // handed to the (empty) pool.
+            return;
+        }
+        shared.outstanding.fetch_add(n, Ordering::SeqCst);
+        shared
+            .active_gens
+            .lock()
+            .expect("no poisoned locks")
+            .push(Arc::clone(job));
+        shared
+            .work
+            .lock()
+            .expect("no poisoned locks")
+            .extend((0..n).map(|i| (Arc::clone(job), i)));
+        if let Some(pool) = pool {
+            pool.notify();
+        }
+    };
 
-        let dispatch = |job: &Arc<GenJob>, stats: &mut PipelineStats| {
-            let n = job.prepared.num_tasks();
-            stats.generations_prepared += 1;
-            stats.tasks_dispatched += n as u64;
-            if job.prepared.has_snapshot() {
-                stats.snapshot_forks += 1;
-                stats.snapshot_bytes_cloned += job.prepared.snapshot_bytes();
-            }
-            if n == 0 || inline {
-                // Inline schedules solve at the merge frontier; nothing is
-                // handed to the (empty) pool.
-                return;
-            }
-            shared.outstanding.fetch_add(n, Ordering::SeqCst);
-            shared
-                .active_gens
-                .lock()
-                .expect("no poisoned locks")
-                .push(Arc::clone(job));
-            let mut w = shared.work.lock().expect("no poisoned locks");
-            for i in 0..n {
-                w.queue.push_back((Arc::clone(job), i));
-            }
-            drop(w);
-            match pool {
-                Some(pool) => pool.notify(),
-                None => shared.work_cv.notify_all(),
-            }
+    // External cancellation is only an *error* when the caller installed
+    // a flag — the flow's own wind-down reuses the same switch to stop
+    // speculative stragglers after a verdict.
+    let externally_cancelled = || cancel.is_some() && shared.cancelled.load(Ordering::SeqCst);
+
+    let mut coordinate = || -> Result<(DetectionReport, PipelineStats), DetectError> {
+        let mut stats = PipelineStats::default();
+        let mut fanout_levels: Vec<Vec<String>> = Vec::new();
+        let mut properties: Vec<PropertyTrace> = Vec::new();
+        let mut spurious_total = 0usize;
+        let mut solver_totals = SolverStats::default();
+        let mut level_jobs: Vec<Arc<GenJob>> = Vec::new();
+
+        let report = |outcome: DetectionOutcome,
+                      fanout_levels: Vec<Vec<String>>,
+                      properties: Vec<PropertyTrace>,
+                      spurious_resolved: usize,
+                      solver_totals: SolverStats| DetectionReport {
+            design: d.name().to_string(),
+            outcome,
+            fanout_levels,
+            properties,
+            spurious_resolved,
+            solver_totals,
+            total_duration: start.elapsed(),
         };
 
-        // External cancellation is only an *error* when the caller installed
-        // a flag — the flow's own wind-down reuses the same switch to stop
-        // speculative stragglers after a verdict.
-        let externally_cancelled = || cancel.is_some() && shared.cancelled.load(Ordering::SeqCst);
+        // Set when speculative planning hit the iteration limit: the
+        // merge loop surfaces the same error deterministically when it
+        // reaches that level.
+        let mut planning_blocked = false;
+        let mut level_idx = 0usize;
+        while graph.ensure_level(design, level_idx)? {
+            if externally_cancelled() {
+                return Err(DetectError::Cancelled);
+            }
+            // Prepare (at least) this level; speculative prepares beyond
+            // it happen while waiting below.
+            while level_jobs.len() <= level_idx {
+                let next = level_jobs.len();
+                let node = graph.level_node(next);
+                let (node_id, property) = (
+                    node.id,
+                    node.property.clone().expect("level nodes carry properties"),
+                );
+                let job = Arc::new(GenJob::new(
+                    node_id,
+                    miter.prepare_level(design, &property, !inline),
+                ));
+                dispatch(&job, &mut stats);
+                level_jobs.push(job);
+            }
 
-        let mut coordinate = || -> Result<(DetectionReport, PipelineStats), DetectError> {
-            let mut stats = PipelineStats::default();
-            let mut fanout_levels: Vec<Vec<String>> = Vec::new();
-            let mut properties: Vec<PropertyTrace> = Vec::new();
-            let mut spurious_total = 0usize;
-            let mut solver_totals = SolverStats::default();
-            let mut level_jobs: Vec<Arc<GenJob>> = Vec::new();
+            let node = graph.level_node(level_idx).clone();
+            fanout_levels.push(names(&node.signals));
+            emit(&FlowEvent::LevelStarted {
+                level: level_idx + 1,
+                signals: names(&node.signals),
+                node: node.id,
+                deps: node.deps.clone(),
+                dep_signals: names(&node.dep_signals),
+            });
 
-            let report = |outcome: DetectionOutcome,
-                          fanout_levels: Vec<Vec<String>>,
-                          properties: Vec<PropertyTrace>,
-                          spurious_resolved: usize,
-                          solver_totals: SolverStats| DetectionReport {
-                design: d.name().to_string(),
-                outcome,
-                fanout_levels,
-                properties,
-                spurious_resolved,
-                solver_totals,
-                total_duration: start.elapsed(),
-            };
+            let mut current_property = node.property.clone().expect("level nodes carry properties");
+            let proves = names(&current_property.prove_equal);
+            let mut current_job = Arc::clone(&level_jobs[level_idx]);
+            let mut resolved = 0usize;
 
-            // Set when speculative planning hit the iteration limit: the
-            // merge loop surfaces the same error deterministically when it
-            // reaches that level.
-            let mut planning_blocked = false;
-            let mut level_idx = 0usize;
-            while graph.ensure_level(design, level_idx)? {
-                if externally_cancelled() {
-                    return Err(DetectError::Cancelled);
-                }
-                // Prepare (at least) this level; speculative prepares beyond
-                // it happen while waiting below.
-                while level_jobs.len() <= level_idx {
-                    let next = level_jobs.len();
-                    let node = graph.level_node(next);
-                    let (node_id, property) = (
-                        node.id,
-                        node.property.clone().expect("level nodes carry properties"),
-                    );
-                    let job = Arc::new(GenJob::new(
-                        node_id,
-                        miter.prepare_level(design, &property, !inline),
-                    ));
-                    dispatch(&job, &mut stats);
-                    level_jobs.push(job);
-                }
-
-                let node = graph.level_node(level_idx).clone();
-                fanout_levels.push(names(&node.signals));
-                emit(&FlowEvent::LevelStarted {
-                    level: level_idx + 1,
-                    signals: names(&node.signals),
-                    node: node.id,
-                    deps: node.deps.clone(),
-                    dep_signals: names(&node.dep_signals),
-                });
-
-                let mut current_property =
-                    node.property.clone().expect("level nodes carry properties");
-                let proves = names(&current_property.prove_equal);
-                let mut current_job = Arc::clone(&level_jobs[level_idx]);
-                let mut resolved = 0usize;
-
-                let (trace, failed) = loop {
-                    if inline {
-                        // Solve the frontier generation right here: tasks
-                        // fork off the master when the generation skipped
-                        // its snapshot, off the snapshot when an earlier
-                        // force-prepare froze one.  The shared flag doubles
-                        // as the interrupt hook, so an external cancel kills
-                        // even a single-worker schedule mid-search.
-                        for i in 0..current_job.prepared.num_tasks() {
-                            if externally_cancelled() {
-                                return Err(DetectError::Cancelled);
-                            }
-                            let mut slot =
-                                current_job.results[i].lock().expect("no poisoned locks");
-                            if slot.is_some() {
-                                continue;
-                            }
-                            let outcome = if current_job.prepared.has_snapshot() {
-                                current_job.prepared.solve_task(
-                                    i,
-                                    &current_job.doomed,
-                                    &shared.cancelled,
-                                )
-                            } else {
-                                miter.solve_task_inline(
-                                    &current_job.prepared,
-                                    i,
-                                    &current_job.doomed,
-                                    &shared.cancelled,
-                                )
-                            };
-                            *slot = Some(outcome);
-                            current_job.remaining.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    // Wait for the generation, preparing further levels
-                    // whenever the pool would otherwise run dry.
-                    loop {
+            let (trace, failed) = loop {
+                if inline {
+                    // Solve the frontier generation right here: tasks
+                    // fork off the master when the generation skipped
+                    // its snapshot, off the snapshot when an earlier
+                    // force-prepare froze one.  The shared flag doubles
+                    // as the interrupt hook, so an external cancel kills
+                    // even a single-worker schedule mid-search.
+                    for i in 0..current_job.prepared.num_tasks() {
                         if externally_cancelled() {
                             return Err(DetectError::Cancelled);
                         }
-                        if current_job.merge_ready() {
-                            break;
+                        let mut slot = current_job.results[i].lock().expect("no poisoned locks");
+                        if slot.is_some() {
+                            continue;
                         }
-                        if pipeline
-                            && !planning_blocked
-                            && !graph.levels_complete()
-                            && shared.outstanding.load(Ordering::SeqCst) < workers.get()
-                            // A failing task on the merge frontier means the
-                            // flow is about to stop (or re-enqueue this very
-                            // level): encoding the next level now would only
-                            // delay that verdict.
-                            && current_job.doomed.load(Ordering::SeqCst) == usize::MAX
-                        {
+                        let outcome = if current_job.prepared.has_snapshot() {
+                            current_job.prepared.solve_task(
+                                i,
+                                &current_job.doomed,
+                                &shared.cancelled,
+                            )
+                        } else {
+                            miter.solve_task_inline(
+                                &current_job.prepared,
+                                i,
+                                &current_job.doomed,
+                                &shared.cancelled,
+                            )
+                        };
+                        *slot = Some(outcome);
+                        current_job.remaining.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+                // Wait for the generation, preparing further levels
+                // whenever the pool would otherwise run dry.
+                loop {
+                    if externally_cancelled() {
+                        return Err(DetectError::Cancelled);
+                    }
+                    if current_job.merge_ready() {
+                        break;
+                    }
+                    if pipeline
+                        && !planning_blocked
+                        && !graph.levels_complete()
+                        && shared.outstanding.load(Ordering::SeqCst) < workers.get()
+                        // A failing task on the merge frontier means the
+                        // flow is about to stop (or re-enqueue this very
+                        // level): encoding the next level now would only
+                        // delay that verdict.
+                        && current_job.doomed.load(Ordering::SeqCst) == usize::MAX
+                    {
+                        let next = level_jobs.len();
+                        match graph.ensure_level(design, next) {
+                            Ok(true) => {
+                                // The merge frontier still has unfinished
+                                // tasks (the loop condition), so this
+                                // prepare encodes a new level while an
+                                // earlier one is solving.
+                                stats.pipelined_prepares += 1;
+                                let node = graph.level_node(next);
+                                let (node_id, property) = (
+                                    node.id,
+                                    node.property.clone().expect("level nodes carry properties"),
+                                );
+                                let job = Arc::new(GenJob::new(
+                                    node_id,
+                                    miter.prepare_level(design, &property, true),
+                                ));
+                                dispatch(&job, &mut stats);
+                                level_jobs.push(job);
+                                continue;
+                            }
+                            Ok(false) => continue,
+                            Err(_) => {
+                                planning_blocked = true;
+                                continue;
+                            }
+                        }
+                    }
+                    let completed = shared.progress.lock().expect("no poisoned locks");
+                    if current_job.merge_ready() {
+                        break;
+                    }
+                    drop(
+                        shared
+                            .progress_cv
+                            .wait(completed)
+                            .expect("no poisoned locks"),
+                    );
+                }
+
+                if externally_cancelled() {
+                    // Don't merge: the kill switch turns in-flight tasks
+                    // into skips, which the deterministic merge would
+                    // misread as lost results.
+                    return Err(DetectError::Cancelled);
+                }
+                let outcomes = current_job.take_outcomes();
+                let check = miter
+                    .merge_level(design, &current_job.prepared, outcomes)
+                    .map_err(|e| DetectError::Backend {
+                        message: e.to_string(),
+                    })?;
+                // The generation is decided: free its snapshot clone
+                // (in-flight stragglers keep their own forks alive) and
+                // stop scanning it in the workers' overlap check.
+                current_job.prepared.release_snapshot();
+                shared
+                    .active_gens
+                    .lock()
+                    .expect("no poisoned locks")
+                    .retain(|g| g.node != current_job.node);
+                solver_totals.accumulate(&check.stats.solver);
+                match &check.outcome {
+                    CheckOutcome::Holds => {
+                        emit(&FlowEvent::PropertyProved {
+                            property: check.property.clone(),
+                            duration: check.stats.duration,
+                            spurious_resolved: resolved,
+                            solver: check.stats.solver,
+                            node: current_job.node,
+                        });
+                        break (
+                            PropertyTrace {
+                                name: check.property.clone(),
+                                proves: proves.clone(),
+                                report: check,
+                                spurious_resolved: resolved,
+                            },
+                            None,
+                        );
+                    }
+                    CheckOutcome::Fails(cex) => {
+                        let diag: Diagnosis = diagnose(
+                            design,
+                            cex,
+                            &current_property.assume_equal,
+                            &config.benign_state,
+                        );
+                        let spurious = diag.is_spurious();
+                        emit(&FlowEvent::CounterexampleFound {
+                            property: check.property.clone(),
+                            diffs: cex.diff_names().iter().map(ToString::to_string).collect(),
+                            spurious,
+                            solver: check.stats.solver,
+                            node: current_job.node,
+                        });
+                        if !spurious {
+                            let cex = (**cex).clone();
+                            break (
+                                PropertyTrace {
+                                    name: check.property.clone(),
+                                    proves: proves.clone(),
+                                    report: check,
+                                    spurious_resolved: resolved,
+                                },
+                                Some(cex),
+                            );
+                        }
+                        if resolved >= config.max_resolution_iterations {
+                            return Err(DetectError::ResolutionLimit {
+                                property: current_property.name.clone(),
+                                limit: config.max_resolution_iterations,
+                            });
+                        }
+                        resolved += 1;
+                        // Assume the benign fanin of the whole level
+                        // equal, not only the registers this model
+                        // happened to flip (see `check_with_resolution`).
+                        let waived = benign_fanin_of(
+                            design,
+                            &current_property.prove_equal,
+                            &current_property.assume_equal,
+                            &config.benign_state,
+                        );
+                        current_property = current_property.with_extra_assumptions(&waived);
+                        // Determinism: a resolution round must always be
+                        // encoded against the fully prepared master (or
+                        // the deterministic point where planning errors),
+                        // so its encoding cannot depend on how far
+                        // speculation happened to get.
+                        while !planning_blocked {
                             let next = level_jobs.len();
                             match graph.ensure_level(design, next) {
                                 Ok(true) => {
-                                    // The merge frontier still has unfinished
-                                    // tasks (the loop condition), so this
-                                    // prepare encodes a new level while an
-                                    // earlier one is solving.
-                                    stats.pipelined_prepares += 1;
                                     let node = graph.level_node(next);
                                     let (node_id, property) = (
                                         node.id,
@@ -832,247 +914,100 @@ pub(crate) fn run_pipelined(
                                     ));
                                     dispatch(&job, &mut stats);
                                     level_jobs.push(job);
-                                    continue;
                                 }
-                                Ok(false) => continue,
-                                Err(_) => {
-                                    planning_blocked = true;
-                                    continue;
-                                }
+                                Ok(false) => break,
+                                Err(_) => planning_blocked = true,
                             }
                         }
-                        let completed = shared.progress.lock().expect("no poisoned locks");
-                        if current_job.merge_ready() {
-                            break;
+                        let res_node =
+                            graph.add_resolution(node.id, resolved, current_property.clone());
+                        emit(&FlowEvent::ResolutionRound {
+                            property: current_property.name.clone(),
+                            round: resolved,
+                            waived: names(&waived),
+                            node: res_node,
+                        });
+                        if pipeline && shared.outstanding.load(Ordering::SeqCst) > 0 {
+                            // The force-prepared levels' forks are still
+                            // solving while the master encodes this
+                            // round: cross-node encode/solve overlap.
+                            stats.pipelined_prepares += 1;
                         }
-                        drop(
-                            shared
-                                .progress_cv
-                                .wait(completed)
-                                .expect("no poisoned locks"),
-                        );
+                        let job = Arc::new(GenJob::new(
+                            res_node,
+                            miter.prepare_level(design, &current_property, !inline),
+                        ));
+                        dispatch(&job, &mut stats);
+                        current_job = job;
                     }
-
-                    if externally_cancelled() {
-                        // Don't merge: the kill switch turns in-flight tasks
-                        // into skips, which the deterministic merge would
-                        // misread as lost results.
-                        return Err(DetectError::Cancelled);
-                    }
-                    let outcomes = current_job.take_outcomes();
-                    let check = miter
-                        .merge_level(design, &current_job.prepared, outcomes)
-                        .map_err(|e| DetectError::Backend {
-                            message: e.to_string(),
-                        })?;
-                    // The generation is decided: free its snapshot clone
-                    // (in-flight stragglers keep their own forks alive) and
-                    // stop scanning it in the workers' overlap check.
-                    current_job.prepared.release_snapshot();
-                    shared
-                        .active_gens
-                        .lock()
-                        .expect("no poisoned locks")
-                        .retain(|g| g.node != current_job.node);
-                    solver_totals.accumulate(&check.stats.solver);
-                    match &check.outcome {
-                        CheckOutcome::Holds => {
-                            emit(&FlowEvent::PropertyProved {
-                                property: check.property.clone(),
-                                duration: check.stats.duration,
-                                spurious_resolved: resolved,
-                                solver: check.stats.solver,
-                                node: current_job.node,
-                            });
-                            break (
-                                PropertyTrace {
-                                    name: check.property.clone(),
-                                    proves: proves.clone(),
-                                    report: check,
-                                    spurious_resolved: resolved,
-                                },
-                                None,
-                            );
-                        }
-                        CheckOutcome::Fails(cex) => {
-                            let diag: Diagnosis = diagnose(
-                                design,
-                                cex,
-                                &current_property.assume_equal,
-                                &config.benign_state,
-                            );
-                            let spurious = diag.is_spurious();
-                            emit(&FlowEvent::CounterexampleFound {
-                                property: check.property.clone(),
-                                diffs: cex.diff_names().iter().map(ToString::to_string).collect(),
-                                spurious,
-                                solver: check.stats.solver,
-                                node: current_job.node,
-                            });
-                            if !spurious {
-                                let cex = (**cex).clone();
-                                break (
-                                    PropertyTrace {
-                                        name: check.property.clone(),
-                                        proves: proves.clone(),
-                                        report: check,
-                                        spurious_resolved: resolved,
-                                    },
-                                    Some(cex),
-                                );
-                            }
-                            if resolved >= config.max_resolution_iterations {
-                                return Err(DetectError::ResolutionLimit {
-                                    property: current_property.name.clone(),
-                                    limit: config.max_resolution_iterations,
-                                });
-                            }
-                            resolved += 1;
-                            // Assume the benign fanin of the whole level
-                            // equal, not only the registers this model
-                            // happened to flip (see `check_with_resolution`).
-                            let waived = benign_fanin_of(
-                                design,
-                                &current_property.prove_equal,
-                                &current_property.assume_equal,
-                                &config.benign_state,
-                            );
-                            current_property = current_property.with_extra_assumptions(&waived);
-                            // Determinism: a resolution round must always be
-                            // encoded against the fully prepared master (or
-                            // the deterministic point where planning errors),
-                            // so its encoding cannot depend on how far
-                            // speculation happened to get.
-                            while !planning_blocked {
-                                let next = level_jobs.len();
-                                match graph.ensure_level(design, next) {
-                                    Ok(true) => {
-                                        let node = graph.level_node(next);
-                                        let (node_id, property) = (
-                                            node.id,
-                                            node.property
-                                                .clone()
-                                                .expect("level nodes carry properties"),
-                                        );
-                                        let job = Arc::new(GenJob::new(
-                                            node_id,
-                                            miter.prepare_level(design, &property, true),
-                                        ));
-                                        dispatch(&job, &mut stats);
-                                        level_jobs.push(job);
-                                    }
-                                    Ok(false) => break,
-                                    Err(_) => planning_blocked = true,
-                                }
-                            }
-                            let res_node =
-                                graph.add_resolution(node.id, resolved, current_property.clone());
-                            emit(&FlowEvent::ResolutionRound {
-                                property: current_property.name.clone(),
-                                round: resolved,
-                                waived: names(&waived),
-                                node: res_node,
-                            });
-                            if pipeline && shared.outstanding.load(Ordering::SeqCst) > 0 {
-                                // The force-prepared levels' forks are still
-                                // solving while the master encodes this
-                                // round: cross-node encode/solve overlap.
-                                stats.pipelined_prepares += 1;
-                            }
-                            let job = Arc::new(GenJob::new(
-                                res_node,
-                                miter.prepare_level(design, &current_property, !inline),
-                            ));
-                            dispatch(&job, &mut stats);
-                            current_job = job;
-                        }
-                    }
-                };
-
-                spurious_total += trace.spurious_resolved;
-                properties.push(trace);
-                if let Some(cex) = failed {
-                    // Same end-of-flow hygiene as the secure exit: the
-                    // pending activation literals retire and the master
-                    // compacts, so a reused session starts clean.  The delta
-                    // is deliberately NOT folded into the report: which acts
-                    // are still pending depends on how far speculation got.
-                    let _ = miter.finish_level_flow();
-                    let detected_by = if level_idx == 0 {
-                        DetectedBy::InitProperty
-                    } else {
-                        DetectedBy::FanoutProperty(level_idx)
-                    };
-                    return Ok((
-                        report(
-                            DetectionOutcome::PropertyFailed {
-                                detected_by,
-                                counterexample: Box::new(cex),
-                            },
-                            fanout_levels,
-                            properties,
-                            spurious_total,
-                            solver_totals,
-                        ),
-                        stats,
-                    ));
                 }
-                level_idx += 1;
-            }
-
-            // End-of-flow hygiene: retire the last generation's activation
-            // literals and compact.  The delta stays out of the report —
-            // which acts are still pending depends on how far speculation
-            // got, and reports must be schedule-invariant.
-            let _ = miter.finish_level_flow();
-            let (coverage_node, covered, uncovered) = graph.finish_coverage(design)?;
-            let uncovered = names(&uncovered);
-            emit(&FlowEvent::Coverage {
-                covered,
-                uncovered: uncovered.clone(),
-                node: coverage_node,
-            });
-            let outcome = if uncovered.is_empty() {
-                DetectionOutcome::Secure
-            } else {
-                DetectionOutcome::UncoveredSignals { signals: uncovered }
             };
-            Ok((
-                report(
-                    outcome,
-                    fanout_levels,
-                    properties,
-                    spurious_total,
-                    solver_totals,
-                ),
-                stats,
-            ))
-        };
 
-        let result = coordinate().map(|(report, mut stats)| {
-            // htd-lint: allow(determinism): telemetry read after every worker joined; no ordering needed
-            stats.cross_level_solves = shared.cross_level.load(Ordering::Relaxed);
-            (report, stats)
-        });
-        // Wind the flow down: cancel speculative work still in flight and
-        // wake every flow-owned worker so the scope can join (pool workers
-        // simply stop finding this flow's tasks).
-        shared.cancelled.store(true, Ordering::SeqCst);
-        {
-            let mut w = shared.work.lock().expect("no poisoned locks");
-            w.queue.clear();
-            w.shutdown = true;
+            spurious_total += trace.spurious_resolved;
+            properties.push(trace);
+            if let Some(cex) = failed {
+                // Same end-of-flow hygiene as the secure exit: the
+                // pending activation literals retire and the master
+                // compacts, so a reused session starts clean.  The delta
+                // is deliberately NOT folded into the report: which acts
+                // are still pending depends on how far speculation got.
+                let _ = miter.finish_level_flow();
+                let detected_by = if level_idx == 0 {
+                    DetectedBy::InitProperty
+                } else {
+                    DetectedBy::FanoutProperty(level_idx)
+                };
+                return Ok((
+                    report(
+                        DetectionOutcome::PropertyFailed {
+                            detected_by,
+                            counterexample: Box::new(cex),
+                        },
+                        fanout_levels,
+                        properties,
+                        spurious_total,
+                        solver_totals,
+                    ),
+                    stats,
+                ));
+            }
+            level_idx += 1;
         }
-        shared.work_cv.notify_all();
-        result
-    });
-    if let Some(pool) = pool {
-        // In-flight pool tasks of this flow (if any) run to completion on
-        // their own Arcs; deregistering only stops workers from picking up
-        // more.
-        pool.deregister(&shared);
-    }
-    result
+
+        // End-of-flow hygiene: retire the last generation's activation
+        // literals and compact.  The delta stays out of the report —
+        // which acts are still pending depends on how far speculation
+        // got, and reports must be schedule-invariant.
+        let _ = miter.finish_level_flow();
+        let (coverage_node, covered, uncovered) = graph.finish_coverage(design)?;
+        let uncovered = names(&uncovered);
+        emit(&FlowEvent::Coverage {
+            covered,
+            uncovered: uncovered.clone(),
+            node: coverage_node,
+        });
+        let outcome = if uncovered.is_empty() {
+            DetectionOutcome::Secure
+        } else {
+            DetectionOutcome::UncoveredSignals { signals: uncovered }
+        };
+        Ok((
+            report(
+                outcome,
+                fanout_levels,
+                properties,
+                spurious_total,
+                solver_totals,
+            ),
+            stats,
+        ))
+    };
+
+    coordinate().map(|(report, mut stats)| {
+        // htd-lint: allow(determinism): monotone telemetry counter read once; no ordering needed
+        stats.cross_level_solves = shared.cross_level.load(Ordering::Relaxed);
+        (report, stats)
+    })
 }
 
 #[cfg(test)]
@@ -1081,7 +1016,8 @@ mod tests {
 
     #[test]
     fn scheduler_defaults_to_at_least_one_worker() {
-        assert!(PropertyScheduler::default().jobs().get() >= 1);
+        // The CI matrix exports well-formed HTD_JOBS values only.
+        assert!(PropertyScheduler::try_default_jobs().unwrap().get() >= 1);
         assert!(PropertyScheduler::available_parallelism().get() >= 1);
     }
 
@@ -1090,6 +1026,7 @@ mod tests {
         let jobs = NonZeroUsize::new(7).unwrap();
         let scheduler = PropertyScheduler::new(jobs);
         assert_eq!(scheduler.jobs(), jobs);
+        assert!(scheduler.pipelines_levels(), "unset reads as the default");
         assert!(!scheduler.with_level_pipelining(false).pipelines_levels());
         assert!(scheduler.with_level_pipelining(true).pipelines_levels());
     }

@@ -7,8 +7,8 @@
 //! counterexample re-verification round.  Sessions are built with
 //! [`SessionBuilder`], which also selects the SAT backend
 //! ([`BackendChoice`]): the bundled CDCL solver, any external
-//! DIMACS-speaking solver binary, or any solver shared library exporting
-//! the IPASIR incremental C ABI.
+//! DIMACS-speaking solver binary, any solver shared library exporting the
+//! IPASIR incremental C ABI, or a racing portfolio of those.
 //!
 //! # The flow-graph model
 //!
@@ -17,19 +17,17 @@
 //! node per fanout level (carrying the level's interval property and an
 //! edge to the level it structurally depends on), dynamically appended
 //! resolution-round nodes, and a final coverage node.  Planning the graph
-//! is purely structural, so every engine walks the same nodes:
+//! is purely structural.
 //!
-//! * the **sequential engines** (the deprecated fresh-solve
-//!   [`TrojanDetector`](crate::TrojanDetector) and
-//!   [`EngineChoice::Sequential`]) visit nodes in id order through
-//!   [`run_flow`];
-//! * the default **pipelined executor** ([`EngineChoice::Scheduled`], see
-//!   [`PropertyScheduler`]) splits each level node into per-signal
-//!   sub-properties, freezes each level behind a forked solver snapshot, and
-//!   lets one worker pool solve sub-properties of *different* levels
-//!   concurrently while the master encodes ahead.  Results merge in node
-//!   order, so reports are byte-identical for every worker count and with
-//!   pipelining on or off ([`DetectionReport::normalized`]).
+//! One executor walks it (configured by a [`PropertyScheduler`]): each level
+//! node is split into per-signal sub-properties, each level is frozen behind
+//! a forked solver snapshot, and one [`SharedSolvePool`] — private to the
+//! run, or attached with [`DetectionSession::attach_pool`] — solves
+//! sub-properties of *different* levels concurrently while the master
+//! encodes ahead.  At one effective worker the coordinator solves every task
+//! itself.  Results merge in node order, so reports are byte-identical for
+//! every worker count and with pipelining on or off
+//! ([`DetectionReport::normalized`]).
 //!
 //! [`DetectionReport::normalized`]: crate::DetectionReport::normalized
 //!
@@ -62,36 +60,29 @@
 //!    uncovered-signal verdict.
 //!
 //! The stream is emitted at the deterministic merge frontier, so the
-//! contract holds *unchanged* under the pipelined executor: levels may
-//! solve out of order internally, but observers always see them in flow
-//! order.  Observers are `FnMut` callbacks; they must not assume any events
-//! beyond this contract (future versions may add variants — match with a
-//! wildcard arm).
+//! contract holds for every schedule: levels may solve out of order
+//! internally, but observers always see them in flow order.  Observers are
+//! `FnMut` callbacks; they must not assume any events beyond this contract
+//! (future versions may add variants — match with a wildcard arm).
 
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use htd_ipc::{
-    CheckOutcome, Counterexample, IntervalProperty, MiterSession, PropertyReport, SessionStats,
-};
-use htd_rtl::{SignalId, ValidatedDesign};
+use htd_ipc::{MiterSession, SessionStats};
+use htd_rtl::ValidatedDesign;
 use htd_sat::{
     BudgetTracker, DimacsProcessBackend, IpasirBackend, PortfolioBackend, RacePolicy, SatBackend,
     Solver, SolverStats,
 };
 
-use crate::diagnosis::{diagnose, Diagnosis};
 use crate::error::DetectError;
 use crate::flow::DetectorConfig;
-use crate::flowgraph::FlowGraph;
-use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-use crate::scheduler::{
-    run_pipelined, PipelineStats, PropertyScheduler, SchedulerEngine, SharedSolvePool,
-};
+use crate::report::DetectionReport;
+use crate::scheduler::{run_pipelined, PipelineStats, PropertyScheduler, SharedSolvePool};
 
 /// Which SAT backend a session solves with.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -208,18 +199,6 @@ impl BackendChoice {
         parse_portfolio(spec).map_err(|message| {
             format!("{PORTFOLIO_ENV_VAR}={value:?} is not a valid portfolio spec: {message}")
         })
-    }
-
-    /// [`try_default_from_env`](Self::try_default_from_env), panicking on a
-    /// malformed `HTD_PORTFOLIO` — misconfigured environments fail loudly,
-    /// like the strict `HTD_JOBS` / `HTD_GC_*` overrides.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_PORTFOLIO` is set to anything but a valid portfolio spec.
-    #[must_use]
-    pub fn default_from_env() -> BackendChoice {
-        Self::try_default_from_env().unwrap_or_else(|message| panic!("{message}"))
     }
 
     /// Checks the choice can be brought up at all — for `ipasir:` this
@@ -377,28 +356,6 @@ impl std::fmt::Display for BackendChoice {
     }
 }
 
-/// Which property-checking engine a session drives the flow with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The single-miter incremental engine: each level is one disjunctive
-    /// miter solved on the session's master solver, one graph node at a
-    /// time.  Kept as the sequential reference path for perf-trajectory
-    /// benchmarks.
-    Sequential,
-    /// The pipelined flow-graph executor (default): each level node is split
-    /// into per-signal sub-properties solved on forked solver shards, with
-    /// sub-properties of *different* levels solving concurrently and a
-    /// deterministic node-order merge.  Reports are identical for any worker
-    /// count and with pipelining on or off (see [`PropertyScheduler`]).
-    Scheduled(PropertyScheduler),
-}
-
-impl Default for EngineChoice {
-    fn default() -> Self {
-        EngineChoice::Scheduled(PropertyScheduler::default())
-    }
-}
-
 /// A boxed observer registered with [`DetectionSession::on_event`].
 type EventObserver = Box<dyn FnMut(&FlowEvent)>;
 
@@ -478,42 +435,6 @@ pub enum FlowEvent {
     },
 }
 
-/// The property-checking engine a flow run drives: either the legacy
-/// fresh-solve checker or an incremental miter session.
-pub(crate) trait PropertyEngine {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError>;
-
-    /// End-of-flow hook, called once after every level held: engines with
-    /// deferred clause retirement flush and compact here, returning the
-    /// solver-work delta to fold into the flow totals.
-    fn finish(&mut self) -> SolverStats {
-        SolverStats::default()
-    }
-}
-
-/// Engine over a [`MiterSession`] (the incremental path).
-struct SessionEngine<'a> {
-    miter: &'a mut MiterSession,
-}
-
-impl PropertyEngine for SessionEngine<'_> {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError> {
-        self.miter
-            .check(design, property)
-            .map_err(|e| DetectError::Backend {
-                message: e.to_string(),
-            })
-    }
-}
-
 /// Validates a detector configuration.
 pub(crate) fn validate_config(config: &DetectorConfig) -> Result<(), DetectError> {
     if config.max_resolution_iterations == 0 {
@@ -570,23 +491,25 @@ pub(crate) fn validate_design(design: &ValidatedDesign) -> Result<(), DetectErro
 pub struct SessionBuilder {
     design: ValidatedDesign,
     config: DetectorConfig,
-    backend: BackendChoice,
-    engine: EngineChoice,
+    /// `None`: the `HTD_PORTFOLIO` default, resolved at build.
+    backend: Option<BackendChoice>,
+    /// `None`: `HTD_JOBS` workers, resolved at build.
+    scheduler: Option<PropertyScheduler>,
 }
 
 impl SessionBuilder {
-    /// Starts a builder for the given design with the default configuration,
-    /// the builtin backend and the sharded scheduler at its default worker
-    /// count (the `HTD_JOBS` environment variable, or 1).
+    /// Starts a builder for the given design with the default configuration.
+    /// A backend or scheduler left unset is resolved from the environment
+    /// at [`build`](Self::build): the builtin solver unless `HTD_PORTFOLIO`
+    /// names a portfolio, `HTD_JOBS` workers (default 1), and level
+    /// pipelining unless `HTD_LEVEL_PIPELINE` turns it off.
     #[must_use]
     pub fn new(design: ValidatedDesign) -> Self {
         SessionBuilder {
             design,
             config: DetectorConfig::default(),
-            // Builtin unless HTD_PORTFOLIO supplies a racing portfolio
-            // (panics on a malformed value — strict, like HTD_JOBS).
-            backend: BackendChoice::default_from_env(),
-            engine: EngineChoice::default(),
+            backend: None,
+            scheduler: None,
         }
     }
 
@@ -600,23 +523,24 @@ impl SessionBuilder {
     /// Selects the SAT backend.
     #[must_use]
     pub fn backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
+        self.backend = Some(backend);
         self
     }
 
-    /// Selects the property-checking engine.
+    /// Selects how the flow executor schedules work: worker count and level
+    /// pipelining (see [`PropertyScheduler`]).
     #[must_use]
-    pub fn engine(mut self, engine: EngineChoice) -> Self {
-        self.engine = engine;
+    pub fn scheduler(mut self, scheduler: PropertyScheduler) -> Self {
+        self.scheduler = Some(scheduler);
         self
     }
 
-    /// Shorthand: the sharded scheduler with up to `jobs` worker shards per
-    /// fanout level.  The resulting reports are identical for every `jobs`
-    /// value (see [`PropertyScheduler`]).
+    /// Shorthand: up to `jobs` worker shards, pipelining at its default.
+    /// The resulting reports are identical for every `jobs` value (see
+    /// [`PropertyScheduler`]).
     #[must_use]
     pub fn jobs(self, jobs: NonZeroUsize) -> Self {
-        self.engine(EngineChoice::Scheduled(PropertyScheduler::new(jobs)))
+        self.scheduler(PropertyScheduler::new(jobs))
     }
 
     /// Builds the session: validates the design and the configuration and
@@ -626,19 +550,18 @@ impl SessionBuilder {
     ///
     /// [`DetectError::NoInputs`] / [`DetectError::NoStateOrOutputs`] if the
     /// flow's decomposition does not apply to the design,
-    /// [`DetectError::InvalidConfig`] for zero iteration budgets, and
-    /// [`DetectError::Backend`] if the chosen backend cannot be brought up
-    /// (e.g. an `ipasir:` library that does not load or misses required
-    /// symbols).
+    /// [`DetectError::InvalidConfig`] for zero iteration budgets or a
+    /// malformed `HTD_PORTFOLIO` / `HTD_JOBS` / `HTD_LEVEL_PIPELINE` behind
+    /// an unset choice, and [`DetectError::Backend`] if the chosen backend
+    /// cannot be brought up (e.g. an `ipasir:` library that does not load or
+    /// misses required symbols).
     pub fn build(self) -> Result<DetectionSession, DetectError> {
         validate_design(&self.design)?;
         validate_config(&self.config)?;
-        let miter = MiterSession::with_options(
-            &self.design,
-            self.config.checker,
-            self.backend.instantiate()?,
-        );
-        Ok(self.assemble(miter))
+        let (backend, scheduler) = self.resolve()?;
+        let miter =
+            MiterSession::with_options(&self.design, self.config.checker, backend.instantiate()?);
+        Ok(self.assemble(backend, scheduler, miter))
     }
 
     /// Builds the session around an **existing** miter encoding instead of
@@ -667,15 +590,36 @@ impl SessionBuilder {
             self.design.design().name(),
             "miter session is bound to one design"
         );
-        Ok(self.assemble(miter))
+        let (backend, scheduler) = self.resolve()?;
+        Ok(self.assemble(backend, scheduler, miter))
     }
 
-    fn assemble(self, miter: MiterSession) -> DetectionSession {
+    /// The backend and scheduler in effect: the caller's choices, with the
+    /// environment defaults filled in only where the caller chose nothing.
+    fn resolve(&self) -> Result<(BackendChoice, PropertyScheduler), DetectError> {
+        let invalid = |reason: String| DetectError::InvalidConfig { reason };
+        let backend = match &self.backend {
+            Some(backend) => backend.clone(),
+            None => BackendChoice::try_default_from_env().map_err(invalid)?,
+        };
+        let scheduler = match self.scheduler {
+            Some(scheduler) => scheduler,
+            None => PropertyScheduler::new(PropertyScheduler::try_default_jobs().map_err(invalid)?),
+        };
+        Ok((backend, scheduler.with_env_defaults().map_err(invalid)?))
+    }
+
+    fn assemble(
+        self,
+        backend: BackendChoice,
+        scheduler: PropertyScheduler,
+        miter: MiterSession,
+    ) -> DetectionSession {
         DetectionSession {
             design: self.design,
             config: self.config,
-            backend: self.backend,
-            engine: self.engine,
+            backend,
+            scheduler,
             miter,
             observers: Vec::new(),
             pipeline_stats: PipelineStats::default(),
@@ -687,9 +631,8 @@ impl SessionBuilder {
 
 /// An owning, reusable detection engine bound to one design.
 ///
-/// The session is the primary entry point of the toolkit (the borrow-tied
-/// [`TrojanDetector`](crate::TrojanDetector) remains as a deprecated shim).
-/// It keeps one live miter encoding across the whole flow: each property's
+/// The session is the entry point of the toolkit.  It keeps one live miter
+/// encoding across the whole flow: each property's
 /// antecedent is expressed through solver assumptions and starting-state
 /// variable sharing instead of re-encoding, so an N-property flow performs
 /// one bit-blast instead of N.  See [`SessionBuilder`] for construction and
@@ -698,7 +641,7 @@ pub struct DetectionSession {
     design: ValidatedDesign,
     config: DetectorConfig,
     backend: BackendChoice,
-    engine: EngineChoice,
+    scheduler: PropertyScheduler,
     miter: MiterSession,
     observers: Vec<EventObserver>,
     pipeline_stats: PipelineStats,
@@ -711,7 +654,7 @@ impl std::fmt::Debug for DetectionSession {
         f.debug_struct("DetectionSession")
             .field("design", &self.design.design().name())
             .field("backend", &self.backend)
-            .field("engine", &self.engine)
+            .field("scheduler", &self.scheduler)
             .field("config", &self.config)
             .field("observers", &self.observers.len())
             .finish_non_exhaustive()
@@ -737,10 +680,10 @@ impl DetectionSession {
         &self.backend
     }
 
-    /// The chosen property-checking engine.
+    /// The scheduler in effect, with every environment default resolved.
     #[must_use]
-    pub fn engine(&self) -> &EngineChoice {
-        &self.engine
+    pub fn scheduler(&self) -> &PropertyScheduler {
+        &self.scheduler
     }
 
     /// Counters of the underlying miter session (bit-blasts performed,
@@ -762,14 +705,13 @@ impl DetectionSession {
         self.miter.backend_stats()
     }
 
-    /// Schedule counters of the most recent [`run`](Self::run) under the
-    /// pipelined executor: generations prepared, tasks dispatched, the
-    /// cross-level evidence — tasks that solved while a task of a different
-    /// level was in flight — and the per-generation snapshot cost
-    /// (`snapshot_forks` / `snapshot_bytes_cloned`: what freezing each
-    /// generation's clause database actually copied).  All zero before the
-    /// first run and for the sequential/non-forkable paths.  Unlike the
-    /// report, these describe the schedule actually taken and may vary
+    /// Schedule counters of the most recent successful [`run`](Self::run):
+    /// generations prepared, tasks dispatched, the cross-level evidence —
+    /// tasks that solved while a task of a different level was in flight —
+    /// and the per-generation snapshot cost (`snapshot_forks` /
+    /// `snapshot_bytes_cloned`: what freezing each generation's clause
+    /// database actually copied).  All zero before the first run.  Unlike
+    /// the report, these describe the schedule actually taken and may vary
     /// between runs.
     #[must_use]
     pub fn pipeline_stats(&self) -> PipelineStats {
@@ -783,13 +725,12 @@ impl DetectionSession {
     }
 
     /// Runs subsequent [`run`](Self::run) calls on the given shared worker
-    /// pool instead of flow-owned threads: the session registers its ready
-    /// queue with the pool for the duration of each run, and the pool's
-    /// workers serve all registered sessions round-robin (see
+    /// pool instead of a private per-run pool: the session registers its
+    /// ready queue with the pool for the duration of each run, and the
+    /// pool's workers serve all registered sessions round-robin (see
     /// [`SharedSolvePool`]).  Reports are unaffected — the executor is
-    /// schedule-invariant.  Only the pipelined engine uses the pool; the
-    /// sequential engine and non-forkable backends solve on the calling
-    /// thread as before.
+    /// schedule-invariant.  With a pool attached, every task solves on a
+    /// pool worker, even at one configured worker.
     pub fn attach_pool(&mut self, pool: SharedSolvePool) {
         self.pool = Some(pool);
     }
@@ -798,9 +739,7 @@ impl DetectionSession {
     /// [`run`](Self::run): setting it to `true` from any thread interrupts
     /// in-flight solver tasks mid-search and makes the run return
     /// [`DetectError::Cancelled`].  The flag is one-shot — the run's
-    /// wind-down sets it, so install a fresh flag per run.  The sequential
-    /// engine honours it at property granularity (between graph nodes)
-    /// rather than mid-solve.
+    /// wind-down sets it, so install a fresh flag per run.
     pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
     }
@@ -834,7 +773,7 @@ impl DetectionSession {
         let DetectionSession {
             design,
             config,
-            engine: engine_choice,
+            scheduler,
             miter,
             observers,
             pipeline_stats,
@@ -862,43 +801,28 @@ impl DetectionSession {
             miter.set_budget(Some(Arc::clone(&tracker)));
             Some(tracker)
         };
-        let result = match engine_choice {
-            EngineChoice::Sequential => {
-                let mut engine = SessionEngine { miter };
-                run_flow(design, config, &mut engine, cancel.as_ref(), &mut emit)
-            }
-            EngineChoice::Scheduled(scheduler) if miter.backend_can_fork() => run_pipelined(
-                design,
-                config,
-                miter,
-                scheduler,
-                pool.as_ref(),
-                cancel.as_ref(),
-                &mut emit,
-            )
-            .map(|(report, stats)| {
-                *pipeline_stats = stats;
-                report
-            }),
-            EngineChoice::Scheduled(scheduler) => {
-                // Non-forkable backends cannot pipeline (no frozen
-                // snapshots); fall back to sharded level-at-a-time checking.
-                let mut engine = SchedulerEngine {
-                    miter,
-                    jobs: scheduler.jobs(),
-                };
-                run_flow(design, config, &mut engine, cancel.as_ref(), &mut emit)
-            }
-        };
+        let result = run_pipelined(
+            design,
+            config,
+            miter,
+            scheduler,
+            pool.as_ref(),
+            cancel.as_ref(),
+            &mut emit,
+        )
+        .map(|(report, stats)| {
+            *pipeline_stats = stats;
+            report
+        });
         let Some(tracker) = tracker else {
             return result;
         };
         miter.set_budget(None);
         match tracker.exhausted() {
-            // Exhaustion surfaces engine-dependently (the kill switch makes
-            // the pipelined executor report `Cancelled`, an interrupted
-            // master query reports `Backend`); fold every post-exhaustion
-            // failure into the one structured cause.  A run that reached its
+            // Exhaustion surfaces as whatever the interrupted run hit first
+            // (usually `Cancelled`, since the tracker trips the kill switch;
+            // a task error if a backend noticed first); fold every
+            // post-exhaustion failure into the one structured cause.  A run that reached its
             // verdict before the trip keeps it.
             Some(reason) if result.is_err() => Err(DetectError::BudgetExhausted {
                 reason: reason.to_owned(),
@@ -909,236 +833,13 @@ impl DetectionSession {
     }
 }
 
-/// Algorithm 1 of the paper as a walk over the planned [`FlowGraph`], generic
-/// over the property-checking engine.
-///
-/// Shared by [`EngineChoice::Sequential`] and the legacy
-/// [`TrojanDetector`](crate::TrojanDetector) (fresh-solve engine), so the two
-/// paths cannot drift apart; the default pipelined executor
-/// (`scheduler::run_pipelined`) walks the *same* graph with a worker pool.
-/// There is no structural per-level loop here: the levels, their properties
-/// and their dependency edges were all planned up front, and this driver
-/// merely visits the nodes in id order, appending resolution nodes as
-/// spurious counterexamples are diagnosed.
-///
-/// `cancel` is honoured at node granularity: the walk checks the flag before
-/// every level (sequential engines run whole properties on the calling
-/// thread, so there is no mid-solve interrupt point here — the pipelined
-/// executor provides that).
-pub(crate) fn run_flow(
-    design: &ValidatedDesign,
-    config: &DetectorConfig,
-    engine: &mut dyn PropertyEngine,
-    cancel: Option<&Arc<AtomicBool>>,
-    emit: &mut dyn FnMut(&FlowEvent),
-) -> Result<DetectionReport, DetectError> {
-    let mut graph = FlowGraph::plan(design, config)?;
-    // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
-    let start = Instant::now();
-    let d = design.design();
-    let names = |sigs: &[SignalId]| -> Vec<String> {
-        sigs.iter().map(|&s| d.signal_name(s).to_string()).collect()
-    };
-
-    let mut fanout_levels: Vec<Vec<String>> = Vec::new();
-    let mut properties: Vec<PropertyTrace> = Vec::new();
-    let mut spurious_total = 0usize;
-    let mut solver_totals = SolverStats::default();
-
-    let report = |outcome: DetectionOutcome,
-                  fanout_levels: Vec<Vec<String>>,
-                  properties: Vec<PropertyTrace>,
-                  spurious_resolved: usize,
-                  solver_totals: SolverStats| DetectionReport {
-        design: d.name().to_string(),
-        outcome,
-        fanout_levels,
-        properties,
-        spurious_resolved,
-        solver_totals,
-        total_duration: start.elapsed(),
-    };
-
-    let mut level_idx = 0usize;
-    while graph.ensure_level(design, level_idx)? {
-        if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            return Err(DetectError::Cancelled);
-        }
-        let node = graph.level_node(level_idx).clone();
-        let property = node.property.clone().expect("level nodes carry properties");
-        fanout_levels.push(names(&node.signals));
-        emit(&FlowEvent::LevelStarted {
-            level: level_idx + 1,
-            signals: names(&node.signals),
-            node: node.id,
-            deps: node.deps.clone(),
-            dep_signals: names(&node.dep_signals),
-        });
-        let (trace, failed) = check_with_resolution(
-            design,
-            config,
-            engine,
-            property,
-            &mut graph,
-            node.id,
-            emit,
-            &mut solver_totals,
-        )?;
-        spurious_total += trace.spurious_resolved;
-        properties.push(trace);
-        if let Some(cex) = failed {
-            let _ = engine.finish();
-            let detected_by = if level_idx == 0 {
-                DetectedBy::InitProperty
-            } else {
-                DetectedBy::FanoutProperty(level_idx)
-            };
-            return Ok(report(
-                DetectionOutcome::PropertyFailed {
-                    detected_by,
-                    counterexample: Box::new(cex),
-                },
-                fanout_levels,
-                properties,
-                spurious_total,
-                solver_totals,
-            ));
-        }
-        level_idx += 1;
-    }
-
-    // The coverage node (case 2 of Sec. IV-D).
-    let _ = engine.finish();
-    let (coverage_node, covered, uncovered) = graph.finish_coverage(design)?;
-    let uncovered = names(&uncovered);
-    emit(&FlowEvent::Coverage {
-        covered,
-        uncovered: uncovered.clone(),
-        node: coverage_node,
-    });
-    let outcome = if uncovered.is_empty() {
-        DetectionOutcome::Secure
-    } else {
-        DetectionOutcome::UncoveredSignals { signals: uncovered }
-    };
-    Ok(report(
-        outcome,
-        fanout_levels,
-        properties,
-        spurious_total,
-        solver_totals,
-    ))
-}
-
-/// Checks one level node's property, resolving spurious counterexamples by
-/// appending resolution-round nodes to the graph (Sec. V-B): each round
-/// re-enqueues the property with equality assumptions for the waived benign
-/// state.
-#[allow(clippy::too_many_arguments)]
-fn check_with_resolution(
-    design: &ValidatedDesign,
-    config: &DetectorConfig,
-    engine: &mut dyn PropertyEngine,
-    property: IntervalProperty,
-    graph: &mut FlowGraph,
-    level_node: usize,
-    emit: &mut dyn FnMut(&FlowEvent),
-    solver_totals: &mut SolverStats,
-) -> Result<(PropertyTrace, Option<Counterexample>), DetectError> {
-    let d = design.design();
-    let proves: Vec<String> = property
-        .prove_equal
-        .iter()
-        .map(|&s| d.signal_name(s).to_string())
-        .collect();
-    let mut current = property;
-    let mut current_node = level_node;
-    let mut resolved = 0usize;
-    loop {
-        let report: PropertyReport = engine.check(design, &current)?;
-        // Totals include every resolution round, not just the final check.
-        solver_totals.accumulate(&report.stats.solver);
-        match &report.outcome {
-            CheckOutcome::Holds => {
-                emit(&FlowEvent::PropertyProved {
-                    property: current.name.clone(),
-                    duration: report.stats.duration,
-                    spurious_resolved: resolved,
-                    solver: report.stats.solver,
-                    node: current_node,
-                });
-                return Ok((
-                    PropertyTrace {
-                        name: current.name.clone(),
-                        proves,
-                        report,
-                        spurious_resolved: resolved,
-                    },
-                    None,
-                ));
-            }
-            CheckOutcome::Fails(cex) => {
-                let diag: Diagnosis =
-                    diagnose(design, cex, &current.assume_equal, &config.benign_state);
-                let spurious = diag.is_spurious();
-                emit(&FlowEvent::CounterexampleFound {
-                    property: current.name.clone(),
-                    diffs: cex.diff_names().iter().map(ToString::to_string).collect(),
-                    spurious,
-                    solver: report.stats.solver,
-                    node: current_node,
-                });
-                if spurious {
-                    if resolved >= config.max_resolution_iterations {
-                        return Err(DetectError::ResolutionLimit {
-                            property: current.name.clone(),
-                            limit: config.max_resolution_iterations,
-                        });
-                    }
-                    resolved += 1;
-                    // Assume the benign fanin of the whole level equal, not
-                    // only the registers this model happened to flip: the
-                    // engineer has disqualified all of it, and waiving it
-                    // register-by-register would just replay the same
-                    // divergence with a different benign cause next round.
-                    let waived = crate::diagnosis::benign_fanin_of(
-                        design,
-                        &current.prove_equal,
-                        &current.assume_equal,
-                        &config.benign_state,
-                    );
-                    current = current.with_extra_assumptions(&waived);
-                    current_node = graph.add_resolution(current_node, resolved, current.clone());
-                    emit(&FlowEvent::ResolutionRound {
-                        property: current.name.clone(),
-                        round: resolved,
-                        waived: waived
-                            .iter()
-                            .map(|&s| d.signal_name(s).to_string())
-                            .collect(),
-                        node: current_node,
-                    });
-                    continue;
-                }
-                let cex = (**cex).clone();
-                return Ok((
-                    PropertyTrace {
-                        name: current.name.clone(),
-                        proves,
-                        report,
-                        spurious_resolved: resolved,
-                    },
-                    Some(cex),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{DetectedBy, DetectionOutcome};
+    use htd_ipc::CheckerOptions;
     use htd_rtl::Design;
+    use std::sync::atomic::Ordering;
 
     fn infected_design() -> ValidatedDesign {
         let mut d = Design::new("infected");
@@ -1164,6 +865,150 @@ mod tests {
         d.set_register_next(s2, d.signal(s1)).unwrap();
         d.add_output("out", d.signal(s2)).unwrap();
         d.validated().unwrap()
+    }
+
+    /// The clean pipeline plus a sequential Trojan whose trigger is a
+    /// free-running counter (input-independent, like AES-T2500) and whose
+    /// payload flips the LSB of stage 2 once the counter saturates.
+    fn counter_triggered_pipeline() -> ValidatedDesign {
+        let mut d = Design::new("infected_pipeline");
+        let input = d.add_input("in", 8).unwrap();
+        let s1 = d.add_register("s1", 8, 0).unwrap();
+        let s2 = d.add_register("s2", 8, 0).unwrap();
+        let counter = d.add_register("trojan_counter", 2, 0).unwrap();
+        let one = d.constant(1, 2).unwrap();
+        let count_next = d.add(d.signal(counter), one).unwrap();
+        d.set_register_next(counter, count_next).unwrap();
+        d.set_register_next(s1, d.signal(input)).unwrap();
+        let armed = d.eq_const(d.signal(counter), 3).unwrap();
+        let flip = d.zero_ext(armed, 8).unwrap();
+        let payload = d.xor(d.signal(s1), flip).unwrap();
+        d.set_register_next(s2, payload).unwrap();
+        d.add_output("out", d.signal(s2)).unwrap();
+        d.validated().unwrap()
+    }
+
+    fn run(design: ValidatedDesign, config: DetectorConfig) -> DetectionReport {
+        SessionBuilder::new(design)
+            .config(config)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    }
+
+    #[test]
+    fn counter_triggered_trojan_is_detected_by_a_fanout_property() {
+        let report = run(counter_triggered_pipeline(), DetectorConfig::default());
+        match &report.outcome {
+            DetectionOutcome::PropertyFailed {
+                detected_by,
+                counterexample,
+            } => {
+                // s2 is two cycles from the inputs: the divergence appears in
+                // fanout property 1 (s1 -> s2).
+                assert_eq!(*detected_by, DetectedBy::FanoutProperty(1));
+                assert!(counterexample.diff_names().contains(&"s2"));
+            }
+            other => panic!("expected detection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn free_running_counter_is_caught_by_the_coverage_check() {
+        // A clean pipeline plus a counter disconnected from the inputs (the
+        // AES-T1900 situation).
+        let mut d = Design::new("free_counter");
+        let input = d.add_input("in", 8).unwrap();
+        let s1 = d.add_register("s1", 8, 0).unwrap();
+        d.set_register_next(s1, d.signal(input)).unwrap();
+        d.add_output("out", d.signal(s1)).unwrap();
+        let timer = d.add_register("timer", 8, 0).unwrap();
+        let one = d.constant(1, 8).unwrap();
+        let inc = d.add(d.signal(timer), one).unwrap();
+        d.set_register_next(timer, inc).unwrap();
+        let report = run(d.validated().unwrap(), DetectorConfig::default());
+        match &report.outcome {
+            DetectionOutcome::UncoveredSignals { signals } => {
+                assert_eq!(signals, &vec!["timer".to_string()]);
+                assert_eq!(
+                    report.outcome.detected_by(),
+                    Some(DetectedBy::CoverageCheck)
+                );
+            }
+            other => panic!("expected uncovered signals, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn benign_state_waiver_resolves_a_spurious_counterexample() {
+        // The output depends on a benign mode register: without a waiver the
+        // flow reports a (false) detection, with it the property-based
+        // detection is gone and one spurious CEX was resolved.
+        let mut d = Design::new("mode_design");
+        let input = d.add_input("in", 8).unwrap();
+        let mode = d.add_register("mode", 1, 0).unwrap();
+        let result = d.add_register("result", 8, 0).unwrap();
+        let mode_next = d.not(d.signal(mode));
+        d.set_register_next(mode, mode_next).unwrap();
+        let m_ext = d.zero_ext(d.signal(mode), 8).unwrap();
+        let sum = d.add(d.signal(input), m_ext).unwrap();
+        d.set_register_next(result, sum).unwrap();
+        d.add_output("out", d.signal(result)).unwrap();
+        let design = d.validated().unwrap();
+        let mode_id = design.design().require("mode").unwrap();
+
+        let without = run(design.clone(), DetectorConfig::default());
+        assert!(!without.outcome.is_secure());
+
+        let config = DetectorConfig {
+            benign_state: vec![mode_id],
+            ..DetectorConfig::default()
+        };
+        let with = run(design, config);
+        // `mode` itself is never reached from the inputs, so the coverage
+        // check still points at it — correct behaviour (the engineer must
+        // inspect it).
+        assert!(with.spurious_resolved >= 1);
+        match with.outcome {
+            DetectionOutcome::UncoveredSignals { ref signals } => {
+                assert_eq!(signals, &vec!["mode".to_string()]);
+            }
+            ref other => panic!("expected coverage finding for `mode`, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn disabling_variable_sharing_gives_the_same_verdicts() {
+        for design in [clean_pipeline(), counter_triggered_pipeline()] {
+            let unshared_config = DetectorConfig {
+                checker: CheckerOptions {
+                    share_assumed_equal: false,
+                    ..CheckerOptions::default()
+                },
+                ..DetectorConfig::default()
+            };
+            let shared = run(design.clone(), DetectorConfig::default());
+            let unshared = run(design.clone(), unshared_config);
+            assert_eq!(
+                shared.outcome.is_secure(),
+                unshared.outcome.is_secure(),
+                "sharing ablation changed the verdict for {}",
+                design.design().name()
+            );
+            assert_eq!(shared.outcome.detected_by(), unshared.outcome.detected_by());
+        }
+    }
+
+    #[test]
+    fn report_display_lists_all_properties() {
+        let report = run(clean_pipeline(), DetectorConfig::default());
+        let text = report.to_string();
+        assert!(text.contains("init_property"));
+        assert!(text.contains("fanout_property_1"));
+        assert!(text.contains("SECURE"));
+        assert!(report.slowest_property().is_some());
+        assert!(report.summary().contains("SECURE"));
     }
 
     #[test]
@@ -1234,23 +1079,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_engines_and_reports_are_engine_invariant_on_verdicts() {
+    fn builder_selects_the_scheduler_and_reports_are_worker_count_invariant() {
         let jobs = NonZeroUsize::new(3).unwrap();
         let mut sharded = SessionBuilder::new(infected_design())
-            .jobs(jobs)
+            .scheduler(PropertyScheduler::new(jobs).with_level_pipelining(false))
             .build()
             .unwrap();
-        assert_eq!(
-            *sharded.engine(),
-            EngineChoice::Scheduled(PropertyScheduler::new(jobs))
-        );
-        let mut sequential = SessionBuilder::new(infected_design())
-            .engine(EngineChoice::Sequential)
+        assert_eq!(sharded.scheduler().jobs(), jobs);
+        assert!(!sharded.scheduler().pipelines_levels());
+        let mut single = SessionBuilder::new(infected_design())
+            .jobs(NonZeroUsize::MIN)
             .build()
             .unwrap();
-        let a = sharded.run().unwrap();
-        let b = sequential.run().unwrap();
-        assert_eq!(a.outcome.detected_by(), b.outcome.detected_by());
+        let a = sharded.run().unwrap().normalized();
+        let b = single.run().unwrap().normalized();
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1271,16 +1114,18 @@ mod tests {
     }
 
     #[test]
-    fn a_preset_cancel_flag_aborts_both_engines() {
-        let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
-        session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
-        assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
-        let mut session = SessionBuilder::new(clean_pipeline())
-            .engine(EngineChoice::Sequential)
-            .build()
-            .unwrap();
-        session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
-        assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
+    fn a_preset_cancel_flag_aborts_inline_and_pooled_runs() {
+        for jobs in [1, 2] {
+            let mut session = SessionBuilder::new(clean_pipeline())
+                .scheduler(
+                    PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap())
+                        .with_oversubscription(true),
+                )
+                .build()
+                .unwrap();
+            session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
+            assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
+        }
     }
 
     #[test]
@@ -1369,6 +1214,13 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, DetectError::NoInputs);
+
+        let mut d = Design::new("only_inputs");
+        d.add_input("a", 1).unwrap();
+        let err = SessionBuilder::new(d.validated().unwrap())
+            .build()
+            .unwrap_err();
+        assert_eq!(err, DetectError::NoStateOrOutputs);
     }
 
     #[test]

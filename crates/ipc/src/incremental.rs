@@ -1,6 +1,6 @@
 //! The incremental miter session: one bit-blast, many property queries.
 //!
-//! The legacy [`PropertyChecker`](crate::PropertyChecker) rebuilds the AIG,
+//! The one-shot [`PropertyChecker`](crate::PropertyChecker) rebuilds the AIG,
 //! the CNF and the SAT solver for every single property.  The detection flow,
 //! however, checks a *sequence* of closely related properties over the same
 //! miter — init, one fanout property per structural level, plus
@@ -17,13 +17,21 @@
 //! * **Antecedents as assumptions.**  Equality assumptions on combinational
 //!   signals become solver *assumptions* instead of baked-in unit clauses, so
 //!   the same encoding serves every antecedent the flow tries.
-//! * **Per-property miters behind activation literals.**  Each property's
-//!   "some proved signal differs" disjunction is guarded by a fresh
-//!   activation literal; once the property is decided the literal is retired
-//!   with a unit clause, permanently simplifying the clause away.
+//! * **Per-signal miters behind activation literals.**  Each property is
+//!   split into one sub-property per prove signal, and each sub-property's
+//!   "this signal differs" miter is guarded by a fresh activation literal;
+//!   once the next generation is prepared the literal is retired with a unit
+//!   clause, permanently simplifying the clause away.
+//!
+//! Checking a property is three stages, which is what lets a scheduler solve
+//! many generations concurrently: [`MiterSession::prepare_level`] lowers and
+//! encodes it on the master (optionally freezing a snapshot),
+//! [`PreparedLevel::solve_task`] or [`MiterSession::solve_task_inline`]
+//! solves each sub-property on a fork, and [`MiterSession::merge_level`]
+//! folds the outcomes into one [`PropertyReport`] deterministically.
 //!
 //! Register starting-state variables follow the same sharing discipline as
-//! the legacy checker (see
+//! the one-shot checker (see
 //! [`CheckerOptions::share_assumed_equal`](crate::CheckerOptions)): registers
 //! assumed equal by the property under check are bound to one canonical
 //! shared word in both instances, which lets structural hashing collapse the
@@ -31,9 +39,8 @@
 //! `ablation_hashing` benchmark applies unchanged to the incremental path.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
@@ -91,12 +98,17 @@ pub struct SessionStats {
 /// An incremental property-checking session over one design's 2-safety miter.
 ///
 /// Construct it with a design, checker options and a boxed [`SatBackend`];
-/// then call [`check`](Self::check) for every property of the flow.  All
-/// queries share one encoding; see the [module docs](self) for how.
+/// then run every property of the flow through
+/// [`prepare_level`](Self::prepare_level), one solve per task and
+/// [`merge_level`](Self::merge_level).  All queries share one encoding; see
+/// the [module docs](self) for how.
 ///
 /// # Example
 ///
 /// ```
+/// use std::sync::atomic::{AtomicBool, AtomicUsize};
+/// use std::sync::Arc;
+///
 /// use htd_ipc::{IntervalProperty, MiterSession};
 /// use htd_rtl::Design;
 /// use htd_sat::Solver;
@@ -111,7 +123,14 @@ pub struct SessionStats {
 ///
 /// let mut session = MiterSession::new(&design, Box::new(Solver::new()));
 /// let init = IntervalProperty::new("init_property", vec![], vec![r]);
-/// assert!(session.check(&design, &init)?.holds());
+/// // Unfrozen: every task is solved on a fork of the unmutated master.
+/// let prepared = session.prepare_level(&design, &init, false);
+/// let doomed = Arc::new(AtomicUsize::new(usize::MAX));
+/// let cancelled = Arc::new(AtomicBool::new(false));
+/// let outcomes = (0..prepared.num_tasks())
+///     .map(|i| Some(session.solve_task_inline(&prepared, i, &doomed, &cancelled)))
+///     .collect();
+/// assert!(session.merge_level(&design, &prepared, outcomes)?.holds());
 /// assert_eq!(session.stats().bit_blasts, 1);
 /// # Ok(())
 /// # }
@@ -130,11 +149,6 @@ pub struct MiterSession {
     /// Canonical shared starting-state words (used by both instances while a
     /// register *is* assumed equal), allocated lazily.
     shared_regs: FxHashMap<SignalId, BitVec>,
-    /// Variables currently eligible for branching: the cone of the most
-    /// recent query.  Everything else in the backend belongs to retired
-    /// queries and is purely definitional — masking it keeps the search
-    /// inside the live cone.
-    active_vars: FxHashSet<Var>,
     /// Register-only combinational support of each signal's driver, computed
     /// lazily and kept for the whole session (the structure never changes).
     support_cache: FxHashMap<SignalId, Vec<SignalId>>,
@@ -169,8 +183,9 @@ struct LevelTask {
 
 /// A generation's frozen fork source.
 enum Snapshot {
-    /// No snapshot: taskless generation, non-forkable backend, or an inline
-    /// schedule that forks the unmutated master at solve time.
+    /// No snapshot: taskless generation, a backend whose `fork` returned
+    /// `None`, or an inline schedule that forks the unmutated master at
+    /// solve time.
     None,
     /// Single-task generations: the sole task takes the snapshot and solves
     /// on it directly (no second clone).
@@ -208,9 +223,6 @@ enum TaskResult {
     /// A counterexample was found on a forked shard (the shard is kept alive
     /// so its model can be read during reconstruction).
     Sat(SolverStats, u64, Box<dyn SatBackend>),
-    /// A counterexample was found on the master (non-forkable fallback); the
-    /// model is read from the master itself during reconstruction.
-    MasterSat(SolverStats, u64),
     /// Cancelled: a lower-id task had already failed, or the whole flow was
     /// cancelled behind an earlier generation's verdict.
     Skipped,
@@ -219,8 +231,8 @@ enum TaskResult {
 }
 
 /// The opaque outcome of one sub-property solve: produced by
-/// [`PreparedLevel::solve_task`] (or the session's non-forkable master
-/// fallback) and consumed by [`MiterSession::merge_level`].
+/// [`PreparedLevel::solve_task`] or [`MiterSession::solve_task_inline`] and
+/// consumed by [`MiterSession::merge_level`].
 pub struct TaskOutcome(TaskResult);
 
 impl TaskOutcome {
@@ -229,10 +241,7 @@ impl TaskOutcome {
     /// remaining sub-properties of the generation.
     #[must_use]
     pub fn ends_level(&self) -> bool {
-        matches!(
-            self.0,
-            TaskResult::Sat(..) | TaskResult::MasterSat(..) | TaskResult::Error(..)
-        )
+        matches!(self.0, TaskResult::Sat(..) | TaskResult::Error(..))
     }
 
     fn skipped() -> Self {
@@ -257,7 +266,6 @@ impl std::fmt::Debug for TaskOutcome {
         f.write_str(match &self.0 {
             TaskResult::Unsat(..) => "TaskOutcome::Unsat",
             TaskResult::Sat(..) => "TaskOutcome::Sat",
-            TaskResult::MasterSat(..) => "TaskOutcome::MasterSat",
             TaskResult::Skipped => "TaskOutcome::Skipped",
             TaskResult::Error(..) => "TaskOutcome::Error",
         })
@@ -277,11 +285,11 @@ impl std::fmt::Debug for TaskOutcome {
 pub struct PreparedLevel {
     property_name: String,
     tasks: Vec<LevelTask>,
-    /// The frozen master snapshot tasks fork from (`None` when the backend
-    /// cannot fork or the generation has no tasks).  Single-task generations
-    /// hold it exclusively and solve on it directly instead of paying for a
-    /// second clone; multi-task generations share it so workers fork
-    /// *outside* any lock.
+    /// The frozen master snapshot tasks fork from (`None` when the
+    /// generation has no tasks, was prepared unfrozen, or the backend's
+    /// `fork` returned `None`).  Single-task generations hold it exclusively
+    /// and solve on it directly instead of paying for a second clone;
+    /// multi-task generations share it so workers fork *outside* any lock.
     snapshot: Snapshot,
     /// This generation's epoch starting-state words, kept for counterexample
     /// reconstruction at merge time (the session's live epoch may already
@@ -291,7 +299,7 @@ pub struct PreparedLevel {
     structurally_proved: u64,
     /// Bytes the generation's frozen snapshot clone copied off the master
     /// (0 when no snapshot was taken: taskless generations, inline
-    /// schedules, non-forkable backends).
+    /// schedules).
     snapshot_bytes: u64,
     /// Master-side work bracketed over this generation's prepare: AIG and
     /// CNF growth plus any clause-GC the master ran before the snapshot.
@@ -396,8 +404,7 @@ impl PreparedLevel {
         let Some(mut shard) = shard else {
             doomed.fetch_min(index, Ordering::SeqCst);
             return TaskOutcome(TaskResult::Error(BackendError {
-                message: "generation snapshot unavailable (backend advertised can_fork but \
-                          fork() returned None)"
+                message: "generation snapshot unavailable (the backend's fork() returned None)"
                     .to_string(),
             }));
         };
@@ -451,45 +458,6 @@ impl PreparedLevel {
             }
         }
     }
-}
-
-/// Solves every task of a prepared generation with up to `jobs` worker
-/// threads pulling from a shared queue, honouring the PR-2 cancellation
-/// semantics (tasks behind a lower-id failure are skipped or interrupted).
-/// The building block of [`MiterSession::check_level`]; the flow-graph
-/// executor in `htd-core` drives [`PreparedLevel::solve_task`] directly so
-/// one worker pool can interleave tasks of *different* generations.
-#[must_use]
-pub fn solve_prepared(prepared: &PreparedLevel, jobs: NonZeroUsize) -> Vec<Option<TaskOutcome>> {
-    let n = prepared.num_tasks();
-    let next = AtomicUsize::new(0);
-    let doomed = Arc::new(AtomicUsize::new(usize::MAX));
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let results: Vec<OnceLock<TaskOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= n {
-            break;
-        }
-        let _ = results[i].set(prepared.solve_task(i, &doomed, &cancelled));
-    };
-    // CPU-bound solver shards gain nothing from oversubscription: cap the
-    // thread count at the machine's parallelism (results are
-    // worker-count-independent either way).
-    let hardware = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let workers = jobs.get().min(n).min(hardware);
-    if workers <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(worker);
-            }
-        });
-    }
-    results.into_iter().map(OnceLock::into_inner).collect()
 }
 
 /// The lowering contexts of one binding epoch (one merged-register set).
@@ -562,7 +530,6 @@ impl MiterSession {
             inputs,
             split_regs,
             shared_regs: FxHashMap::default(),
-            active_vars: FxHashSet::default(),
             support_cache: FxHashMap::default(),
             epoch: None,
             pending_acts: Vec::new(),
@@ -637,7 +604,6 @@ impl MiterSession {
             inputs: self.inputs.clone(),
             split_regs: self.split_regs.clone(),
             shared_regs: self.shared_regs.clone(),
-            active_vars: self.active_vars.clone(),
             support_cache: self.support_cache.clone(),
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
@@ -654,175 +620,6 @@ impl MiterSession {
             queries: self.backend.stats().queries + self.stats.queries,
             ..self.stats
         }
-    }
-
-    /// Checks a single-cycle interval property against the live miter.
-    ///
-    /// Must be called with the same design the session was built from.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] if the backend infrastructure fails (only
-    /// possible for process backends).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not the session's design.
-    pub fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, BackendError> {
-        // htd-lint: allow(determinism): feeds PropertyReport.duration only, zeroed by the normalized rendering
-        let start = Instant::now();
-        let d = design.design();
-        assert_eq!(d.name(), self.design_name, "session is bound to one design");
-        self.stats.properties_checked += 1;
-        // A session mixing the level API with `check` must not leave stale
-        // activation literals armed.
-        self.flush_retired();
-        // Snapshots so the per-property report carries deltas, not
-        // session-cumulative totals.
-        let aig_nodes_before = self.aig.num_nodes();
-        let aig_ands_before = self.aig.num_ands();
-        let strash_before = self.aig.strash_hits();
-        let backend_before = self.backend.stats();
-
-        let share = self.options.share_assumed_equal;
-        let assume_regs: FxHashSet<SignalId> = property
-            .assume_equal
-            .iter()
-            .copied()
-            .filter(|s| d.signal_info(*s).kind().is_register())
-            .collect();
-
-        // Reuse (or build) the lowering contexts of this binding epoch.
-        let mut epoch = self.take_epoch(design, &assume_regs);
-
-        // Antecedent: equality assumptions not discharged by variable
-        // sharing, expressed as solver assumptions.
-        let assumption_aig = self.lower_assumptions(design, property, &assume_regs, &mut epoch);
-
-        // Consequent: values of the proved signals at time t+1 per instance.
-        let mut prove_values: Vec<(SignalId, BitVec, BitVec)> = Vec::new();
-        for &sig in &property.prove_equal {
-            // Structural fast path: once the antecedent registers are merged,
-            // a prove signal whose whole cone reduces to shared variables is
-            // equal in every model — it contributes no miter input, no AIG
-            // nodes and no solver work.  This is where the incremental
-            // session beats the re-encode path: proven levels make the next
-            // level's equality structural.
-            if share && self.structurally_equal_next(design, sig, &assume_regs) {
-                self.stats.structurally_proved += 1;
-                continue;
-            }
-            if let Some((b1, b2)) = self.lower_prove_signal(design, &mut epoch, sig) {
-                prove_values.push((sig, b1, b2));
-            }
-        }
-
-        // Miter: some proved signal differs.
-        let mut diff_lits: Vec<AigLit> = Vec::new();
-        for (_, b1, b2) in &prove_values {
-            diff_lits.push(equal(&mut self.aig, b1, b2).invert());
-        }
-        let miter = self.aig.or_all(&diff_lits);
-
-        // Mirror the new cones into the backend.
-        let mut roots: Vec<AigLit> = assumption_aig.clone();
-        roots.push(miter);
-        let fresh = self
-            .encoder
-            .encode(self.backend.as_mut(), &self.aig, &roots);
-        self.stats.nodes_encoded += fresh as u64;
-
-        let mut assumptions: Vec<Lit> = Vec::new();
-        let mut vacuous = false;
-        for &a in &assumption_aig {
-            if a == AigLit::TRUE {
-                continue;
-            }
-            if a == AigLit::FALSE {
-                // The antecedent is structurally unsatisfiable; the property
-                // holds vacuously.
-                vacuous = true;
-                break;
-            }
-            assumptions.push(self.encoder.lit(a));
-        }
-
-        let result = if vacuous || miter == AigLit::FALSE {
-            // No query needed — but any cones this property *did* encode must
-            // still leave the decision-eligible set, or later searches could
-            // wander into them.
-            if fresh > 0 {
-                self.focus_search(&roots, None);
-            }
-            SolveResult::Unsat
-        } else if miter == AigLit::TRUE {
-            // Some proved signal differs structurally for every assignment;
-            // a query is still needed to find a model of the antecedent.
-            self.focus_search(&roots, None);
-            self.backend.solve_under(&assumptions)?
-        } else {
-            let act = self.backend.new_var();
-            self.focus_search(&roots, Some(act));
-            let miter_lit = self.encoder.lit(miter);
-            self.backend.add_clause(&[Lit::neg(act), miter_lit]);
-            assumptions.push(Lit::pos(act));
-            let result = self.backend.solve_under(&assumptions)?;
-            // Retire the activation literal: the property's miter clause is
-            // permanently disabled and can never pollute later queries.  Let
-            // the backend compact once enough retired cones and stale learnt
-            // clauses have piled up.
-            self.backend.add_clause(&[Lit::neg(act)]);
-            let _ = self.backend.collect_garbage();
-            result
-        };
-
-        let outcome = match result {
-            SolveResult::Interrupted => {
-                // Only a tripped budget (or a cancel flag folded into the
-                // backend's interrupt seam) abandons a master query; surface
-                // it as a structured error so the session layer can map it
-                // to the job-level cause.
-                return Err(BackendError {
-                    message: "master query interrupted (budget exhausted or cancelled)".to_owned(),
-                });
-            }
-            SolveResult::Unsat => CheckOutcome::Holds,
-            SolveResult::Sat => CheckOutcome::Fails(Box::new(self.reconstruct_with(
-                self.backend.as_ref(),
-                d,
-                &property.name,
-                &prove_values,
-                &epoch.regs,
-            ))),
-        };
-        self.epoch = Some(epoch);
-
-        // Report deltas against the start-of-check snapshots: `CheckStats`
-        // describes one property check, not the whole session.
-        let backend_after = self.backend.stats();
-        let solver_delta = SolverStats {
-            // The learnt-clause gauge reports the database size, not a delta.
-            learnt_clauses: backend_after.solver.learnt_clauses,
-            ..backend_after.solver.delta_since(&backend_before.solver)
-        };
-        let stats = CheckStats {
-            aig_nodes: self.aig.num_nodes() - aig_nodes_before,
-            aig_ands: self.aig.num_ands() - aig_ands_before,
-            strash_hits: self.aig.strash_hits() - strash_before,
-            cnf_vars: backend_after.vars - backend_before.vars,
-            cnf_clauses: backend_after.clauses.saturating_sub(backend_before.clauses),
-            solver: solver_delta,
-            duration: start.elapsed(),
-        };
-        Ok(PropertyReport {
-            property: property.name.clone(),
-            outcome,
-            stats,
-        })
     }
 
     /// Lowers and encodes one generation of the flow graph — a fanout level's
@@ -1023,53 +820,6 @@ impl MiterSession {
         prepared
     }
 
-    /// Solves sub-property `index` of a prepared generation on the master
-    /// backend — the fallback for backends that cannot fork.  The caller must
-    /// drive tasks in id order and stop after the first outcome for which
-    /// [`TaskOutcome::ends_level`] is true, which preserves the merge
-    /// semantics of the forked path (deterministic, never parallel).
-    #[must_use]
-    pub fn solve_task_on_master(&mut self, prepared: &PreparedLevel, index: usize) -> TaskOutcome {
-        let task = &prepared.tasks[index];
-        self.backend.begin_new_query();
-        let cone: FxHashSet<Var> = task.cone.iter().copied().collect();
-        for &var in self.active_vars.difference(&cone) {
-            self.backend.set_decision_var(var, false);
-        }
-        for &var in cone.difference(&self.active_vars) {
-            self.backend.set_decision_var(var, true);
-        }
-        self.active_vars = cone;
-        // The master's own query counter already counts this solve (the
-        // session reports backend queries plus fork queries), so the outcome
-        // carries a zero query count — but the solver-work deltas must flow
-        // through the outcome, because the generation's master bracket closed
-        // at the end of prepare.
-        let before = self.backend.stats();
-        match self.backend.solve_under(&task.assumptions) {
-            Err(e) => TaskOutcome(TaskResult::Error(e)),
-            Ok(SolveResult::Interrupted) => TaskOutcome(TaskResult::Error(BackendError {
-                // A tripped budget (or cancel) on the sequential fallback
-                // path; the session layer maps it to the job-level cause.
-                message: "master query interrupted (budget exhausted or cancelled)".to_owned(),
-            })),
-            Ok(SolveResult::Unsat) => {
-                let after = self.backend.stats();
-                TaskOutcome(TaskResult::Unsat(
-                    after.solver.delta_since(&before.solver),
-                    0,
-                ))
-            }
-            Ok(SolveResult::Sat) => {
-                let after = self.backend.stats();
-                TaskOutcome(TaskResult::MasterSat(
-                    after.solver.delta_since(&before.solver),
-                    0,
-                ))
-            }
-        }
-    }
-
     /// Solves sub-property `index` of a generation prepared with
     /// `freeze: false` on a fork taken straight off the master.  Sound only
     /// while the master has not mutated since that generation's
@@ -1121,7 +871,7 @@ impl MiterSession {
 
         let mut level_delta = SolverStats::default();
         let mut fork_queries = 0u64;
-        let mut winner: Option<(usize, Option<Box<dyn SatBackend>>)> = None;
+        let mut winner: Option<(usize, Box<dyn SatBackend>)> = None;
         let mut first_error: Option<BackendError> = None;
         let mut skipped = 0u64;
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -1137,12 +887,7 @@ impl MiterSession {
                 Some(TaskResult::Sat(delta, queries, shard)) => {
                     level_delta.accumulate(&delta);
                     fork_queries += queries;
-                    winner = Some((i, Some(shard)));
-                }
-                Some(TaskResult::MasterSat(delta, queries)) => {
-                    level_delta.accumulate(&delta);
-                    fork_queries += queries;
-                    winner = Some((i, None));
+                    winner = Some((i, shard));
                 }
                 Some(TaskResult::Error(e)) => first_error = Some(e),
                 Some(TaskResult::Skipped) | None => {
@@ -1167,13 +912,9 @@ impl MiterSession {
             None => CheckOutcome::Holds,
             Some((i, shard)) => {
                 let task = &prepared.tasks[*i];
-                let model_source: &dyn SatBackend = match shard {
-                    Some(shard) => shard.as_ref(),
-                    None => self.backend.as_ref(),
-                };
                 let prove_values = vec![(task.sig, task.b1.clone(), task.b2.clone())];
                 CheckOutcome::Fails(Box::new(self.reconstruct_with(
-                    model_source,
+                    shard.as_ref(),
                     d,
                     &prepared.property_name,
                     &prove_values,
@@ -1223,13 +964,6 @@ impl MiterSession {
         retired
     }
 
-    /// `true` if the backend can fork frozen snapshots — the prerequisite for
-    /// the pipelined flow-graph executor.
-    #[must_use]
-    pub fn backend_can_fork(&self) -> bool {
-        self.backend.can_fork()
-    }
-
     /// The master backend's cumulative counters (variables, clauses, queries
     /// and solver work including clause-GC).
     #[must_use]
@@ -1260,69 +994,6 @@ impl MiterSession {
             let _ = self.backend.collect_garbage();
         }
         self.backend.stats().solver.delta_since(&before.solver)
-    }
-
-    /// Checks one property by partitioning it into per-signal sub-properties
-    /// solved on sharded solvers: [`prepare_level`](Self::prepare_level), a
-    /// worker pool over [`PreparedLevel::solve_task`] (or the sequential
-    /// master fallback for non-forkable backends), then the deterministic
-    /// [`merge_level`](Self::merge_level).  The flow-graph executor in
-    /// `htd-core` drives the same three stages with one pool across *all*
-    /// generations, which is what pipelines property checking across levels.
-    ///
-    /// **Determinism**: every fork starts from the same frozen snapshot, so a
-    /// task's result does not depend on which worker ran it or on how many
-    /// workers there are.  Results merge in sub-property id order (the prove-
-    /// list order) and the first counterexample wins; tasks after a known
-    /// failure are cancelled, and the merged [`CheckStats`] sum only the
-    /// consumed tasks.  `check_level(p, 1)` and `check_level(p, n)` therefore
-    /// return identical reports (up to wall-clock durations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] if the backend infrastructure fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not the session's design.
-    pub fn check_level(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-        jobs: NonZeroUsize,
-    ) -> Result<PropertyReport, BackendError> {
-        let freeze = jobs.get() > 1 && self.backend.can_fork();
-        let prepared = self.prepare_level(design, property, freeze);
-        let outcomes = if prepared.tasks.is_empty() {
-            Vec::new()
-        } else if prepared.has_snapshot() {
-            solve_prepared(&prepared, jobs)
-        } else if self.backend.can_fork() {
-            // Single-worker schedule: fork each task straight off the
-            // unmutated master (identical content to the omitted snapshot).
-            let doomed = Arc::new(AtomicUsize::new(usize::MAX));
-            let cancelled = Arc::new(AtomicBool::new(false));
-            (0..prepared.tasks.len())
-                .map(|i| Some(self.solve_task_inline(&prepared, i, &doomed, &cancelled)))
-                .collect()
-        } else {
-            // Non-forkable backend: solve in id order on the master, stopping
-            // at the first counterexample (identical merge semantics, never
-            // parallel).
-            let mut outcomes: Vec<Option<TaskOutcome>> = Vec::with_capacity(prepared.tasks.len());
-            let mut stop = false;
-            for index in 0..prepared.tasks.len() {
-                if stop {
-                    outcomes.push(Some(TaskOutcome::skipped()));
-                    continue;
-                }
-                let outcome = self.solve_task_on_master(&prepared, index);
-                stop = outcome.ends_level();
-                outcomes.push(Some(outcome));
-            }
-            outcomes
-        };
-        self.merge_level(design, &prepared, outcomes)
     }
 
     /// The registers in the combinational support of `sig`'s driver
@@ -1518,25 +1189,6 @@ impl MiterSession {
         }
     }
 
-    /// Points the backend's search at the current query: resets the decision
-    /// heuristics (activities and phases tuned for the previous property's
-    /// conflict structure routinely mislead the next query) and confines
-    /// branching to the cone of `roots` plus the activation literal.
-    /// Variables of retired queries are purely definitional, so masking them
-    /// is sound — see [`htd_sat::Solver::set_decision_var`].
-    fn focus_search(&mut self, roots: &[AigLit], act: Option<Var>) {
-        self.backend.begin_new_query();
-        let mut cone = self.encoder.cone_vars(&self.aig, roots);
-        cone.extend(act);
-        for &var in self.active_vars.difference(&cone) {
-            self.backend.set_decision_var(var, false);
-        }
-        for &var in cone.difference(&self.active_vars) {
-            self.backend.set_decision_var(var, true);
-        }
-        self.active_vars = cone;
-    }
-
     /// Rebuilds a concrete counterexample from the given backend's model via
     /// the reconstruction shared with the one-shot checker.  The model source
     /// is a parameter because a parallel level check reads it from the forked
@@ -1577,7 +1229,7 @@ mod tests {
     use super::*;
     use crate::PropertyChecker;
     use htd_rtl::Design;
-    use htd_sat::Solver;
+    use htd_sat::{BackendStats, Solver};
 
     fn trojan_design() -> ValidatedDesign {
         let mut d = Design::new("tiny_trojan");
@@ -1603,6 +1255,55 @@ mod tests {
         d.validated().unwrap()
     }
 
+    /// The inline schedule: prepare unfrozen, solve every task on a fork of
+    /// the unmutated master (tasks behind a failure skip), merge.
+    fn check_inline(
+        session: &mut MiterSession,
+        design: &ValidatedDesign,
+        property: &IntervalProperty,
+    ) -> Result<PropertyReport, BackendError> {
+        let prepared = session.prepare_level(design, property, false);
+        let doomed = Arc::new(AtomicUsize::new(usize::MAX));
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let outcomes = (0..prepared.num_tasks())
+            .map(|i| Some(session.solve_task_inline(&prepared, i, &doomed, &cancelled)))
+            .collect();
+        session.merge_level(design, &prepared, outcomes)
+    }
+
+    /// The frozen schedule: prepare behind a snapshot, let `jobs` threads
+    /// pull tasks off a shared counter, merge.
+    fn check_frozen(
+        session: &mut MiterSession,
+        design: &ValidatedDesign,
+        property: &IntervalProperty,
+        jobs: usize,
+    ) -> Result<PropertyReport, BackendError> {
+        let prepared = session.prepare_level(design, property, true);
+        let doomed = Arc::new(AtomicUsize::new(usize::MAX));
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<TaskOutcome>>> = (0..prepared.num_tasks())
+            .map(|_| Mutex::new(None))
+            .collect();
+        std::thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    let Some(slot) = slots.get(i) else { break };
+                    *slot.lock().unwrap() = Some(prepared.solve_task(i, &doomed, &cancelled));
+                });
+            }
+        });
+        let outcomes = slots.into_iter().map(|s| s.into_inner().unwrap()).collect();
+        session.merge_level(design, &prepared, outcomes)
+    }
+
+    fn without_duration(mut report: PropertyReport) -> PropertyReport {
+        report.stats.duration = std::time::Duration::ZERO;
+        report
+    }
+
     #[test]
     fn session_and_legacy_checker_agree_on_a_trojan() {
         let design = trojan_design();
@@ -1612,7 +1313,7 @@ mod tests {
 
         let legacy = PropertyChecker::new(&design).check(&property);
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-        let incremental = session.check(&design, &property).unwrap();
+        let incremental = check_inline(&mut session, &design, &property).unwrap();
 
         assert!(!legacy.holds());
         assert!(!incremental.holds());
@@ -1635,7 +1336,7 @@ mod tests {
             IntervalProperty::new("fanout_property_2", vec![s1, s2], vec![out]),
         ];
         for property in &properties {
-            let report = session.check(&design, property).unwrap();
+            let report = check_inline(&mut session, &design, property).unwrap();
             assert!(report.holds(), "{} should hold", property.name);
         }
         let stats = session.stats();
@@ -1651,30 +1352,32 @@ mod tests {
         let property = IntervalProperty::new("init_property", vec![], vec![s1]);
 
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-        session.check(&design, &property).unwrap();
+        check_inline(&mut session, &design, &property).unwrap();
         let encoded_once = session.stats().nodes_encoded;
-        session.check(&design, &property).unwrap();
+        check_inline(&mut session, &design, &property).unwrap();
         assert_eq!(session.stats().nodes_encoded, encoded_once);
     }
 
     #[test]
-    fn check_level_matches_check_on_holding_and_failing_properties() {
-        let jobs = NonZeroUsize::new(2).unwrap();
+    fn frozen_and_inline_schedules_agree_on_holding_and_failing_properties() {
         // Failing property on the trojan design.
         let design = trojan_design();
         let d = design.design();
         let data = d.require("data").unwrap();
         let trigger = d.require("trigger").unwrap();
         let failing = IntervalProperty::new("init_property", vec![], vec![trigger, data]);
-        let mut plain = MiterSession::new(&design, Box::new(Solver::new()));
-        let mut sharded = MiterSession::new(&design, Box::new(Solver::new()));
-        let plain_report = plain.check(&design, &failing).unwrap();
-        let sharded_report = sharded.check_level(&design, &failing, jobs).unwrap();
-        assert!(!plain_report.holds());
-        assert!(!sharded_report.holds());
+        let mut inline = MiterSession::new(&design, Box::new(Solver::new()));
+        let mut frozen = MiterSession::new(&design, Box::new(Solver::new()));
+        let inline_report = check_inline(&mut inline, &design, &failing).unwrap();
+        let frozen_report = check_frozen(&mut frozen, &design, &failing, 2).unwrap();
+        assert!(!inline_report.holds());
         // First-counterexample-wins: the lowest-id failing prove signal.
-        let cex = sharded_report.outcome.counterexample().unwrap();
+        let cex = frozen_report.outcome.counterexample().unwrap();
         assert_eq!(cex.diff_names(), vec!["trigger"]);
+        assert_eq!(
+            without_duration(inline_report),
+            without_duration(frozen_report)
+        );
 
         // Holding properties on the clean pipeline.
         let design = pipeline();
@@ -1682,15 +1385,18 @@ mod tests {
         let s1 = d.require("s1").unwrap();
         let s2 = d.require("s2").unwrap();
         let out = d.require("out").unwrap();
-        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        let mut inline = MiterSession::new(&design, Box::new(Solver::new()));
+        let mut frozen = MiterSession::new(&design, Box::new(Solver::new()));
         for property in [
             IntervalProperty::new("init_property", vec![], vec![s1]),
             IntervalProperty::new("fanout_property_1", vec![s1], vec![s2, out]),
         ] {
-            let report = session.check_level(&design, &property, jobs).unwrap();
-            assert!(report.holds(), "{} should hold", property.name);
+            let a = check_inline(&mut inline, &design, &property).unwrap();
+            let b = check_frozen(&mut frozen, &design, &property, 2).unwrap();
+            assert!(b.holds(), "{} should hold", property.name);
+            assert_eq!(without_duration(a), without_duration(b));
         }
-        assert_eq!(session.stats().bit_blasts, 1);
+        assert_eq!(frozen.stats().bit_blasts, 1);
     }
 
     /// A fork of a pristine (never-run) master behaves exactly like a fresh
@@ -1707,10 +1413,8 @@ mod tests {
         let mut forked = master.try_fork().expect("builtin backend forks");
         let mut fresh = MiterSession::new(&design, Box::new(Solver::new()));
 
-        let mut from_fork = forked.check(&design, &property).unwrap();
-        let mut from_fresh = fresh.check(&design, &property).unwrap();
-        from_fork.stats.duration = std::time::Duration::ZERO;
-        from_fresh.stats.duration = std::time::Duration::ZERO;
+        let from_fork = without_duration(check_inline(&mut forked, &design, &property).unwrap());
+        let from_fresh = without_duration(check_inline(&mut fresh, &design, &property).unwrap());
         assert_eq!(from_fork, from_fresh);
 
         // The fork inherits the master's single bit-blast and never triggers
@@ -1721,13 +1425,12 @@ mod tests {
         // A second, later fork of the same untouched master is unaffected by
         // the first fork's run.
         let mut second = master.try_fork().expect("builtin backend forks");
-        let mut again = second.check(&design, &property).unwrap();
-        again.stats.duration = std::time::Duration::ZERO;
+        let again = without_duration(check_inline(&mut second, &design, &property).unwrap());
         assert_eq!(again, from_fresh);
     }
 
     #[test]
-    fn check_level_is_worker_count_invariant() {
+    fn frozen_solves_are_worker_count_invariant() {
         let design = trojan_design();
         let d = design.design();
         let trigger = d.require("trigger").unwrap();
@@ -1736,11 +1439,8 @@ mod tests {
         let mut reports = Vec::new();
         for jobs in [1usize, 2, 4] {
             let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-            let mut report = session
-                .check_level(&design, &property, NonZeroUsize::new(jobs).unwrap())
-                .unwrap();
-            report.stats.duration = std::time::Duration::ZERO;
-            reports.push(report);
+            let report = check_frozen(&mut session, &design, &property, jobs).unwrap();
+            reports.push(without_duration(report));
         }
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0], reports[2]);
@@ -1753,17 +1453,16 @@ mod tests {
         let s1 = d.require("s1").unwrap();
         let s2 = d.require("s2").unwrap();
         let out = d.require("out").unwrap();
-        let jobs = NonZeroUsize::MIN;
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
         // Same antecedent twice: one epoch.
         let p1 = IntervalProperty::new("a", vec![s1], vec![s2]);
         let p2 = IntervalProperty::new("b", vec![s1], vec![out]);
-        session.check_level(&design, &p1, jobs).unwrap();
-        session.check_level(&design, &p2, jobs).unwrap();
+        check_inline(&mut session, &design, &p1).unwrap();
+        check_inline(&mut session, &design, &p2).unwrap();
         assert_eq!(session.stats().epoch_rebinds, 1);
         // A different antecedent rebinds.
         let p3 = IntervalProperty::new("c", vec![s1, s2], vec![out]);
-        session.check_level(&design, &p3, jobs).unwrap();
+        check_inline(&mut session, &design, &p3).unwrap();
         assert_eq!(session.stats().epoch_rebinds, 2);
     }
 
@@ -1780,10 +1479,61 @@ mod tests {
             };
             let mut session = MiterSession::with_options(&design, options, Box::new(Solver::new()));
             let failing = IntervalProperty::new("init_property", vec![], vec![data]);
-            assert!(!session.check(&design, &failing).unwrap().holds());
+            assert!(!check_inline(&mut session, &design, &failing)
+                .unwrap()
+                .holds());
             // Assuming the trigger state equal discharges the divergence.
             let resolved = IntervalProperty::new("resolved", vec![trigger], vec![data]);
-            assert!(session.check(&design, &resolved).unwrap().holds());
+            assert!(check_inline(&mut session, &design, &resolved)
+                .unwrap()
+                .holds());
+        }
+    }
+
+    /// The bundled solver behind a backend whose `fork` returns `None`, as an
+    /// IPASIR library whose `init` fails would.
+    struct NoFork(Solver);
+
+    impl SatBackend for NoFork {
+        fn name(&self) -> String {
+            "no-fork".to_owned()
+        }
+        fn new_var(&mut self) -> Var {
+            SatBackend::new_var(&mut self.0)
+        }
+        fn add_clause(&mut self, lits: &[Lit]) -> bool {
+            SatBackend::add_clause(&mut self.0, lits)
+        }
+        fn solve_under(&mut self, assumptions: &[Lit]) -> Result<SolveResult, BackendError> {
+            self.0.solve_under(assumptions)
+        }
+        fn model_value(&self, var: Var) -> Option<bool> {
+            SatBackend::model_value(&self.0, var)
+        }
+        fn stats(&self) -> BackendStats {
+            SatBackend::stats(&self.0)
+        }
+        fn fork(&self) -> Option<Box<dyn SatBackend>> {
+            None
+        }
+    }
+
+    /// A missing fork is a structured merge error on both the frozen and the
+    /// inline path — never a panic, never a task slot left empty.
+    #[test]
+    fn a_backend_that_cannot_fork_fails_the_merge() {
+        let design = trojan_design();
+        let data = design.design().require("data").unwrap();
+        let property = IntervalProperty::new("init_property", vec![], vec![data]);
+        for frozen in [true, false] {
+            let mut session = MiterSession::new(&design, Box::new(NoFork(Solver::new())));
+            let result = if frozen {
+                check_frozen(&mut session, &design, &property, 2)
+            } else {
+                check_inline(&mut session, &design, &property)
+            };
+            let err = result.expect_err("no shard to solve on");
+            assert!(err.message.contains("fork"), "frozen={frozen}: {err}");
         }
     }
 }

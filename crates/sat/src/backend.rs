@@ -138,24 +138,16 @@ pub trait SatBackend: Send + Sync {
     /// Backends without decision-variable support ignore it.
     fn mask_all_decisions(&mut self) {}
 
-    /// `true` if [`fork`](Self::fork) returns `Some` — checked up front so
-    /// schedulers can pick an execution strategy without paying for a probe
-    /// clone.
-    fn can_fork(&self) -> bool {
-        false
-    }
-
     /// Creates an independent snapshot of this backend: same variables, same
     /// clause database, no shared mutable state, ready to solve a different
-    /// query concurrently.  Returns `None` if the backend cannot fork (the
-    /// parallel scheduler then falls back to sequential solving on the
-    /// master).  Work counters carry over — plus one recorded fork of
-    /// [`snapshot_bytes`](Self::snapshot_bytes) bytes on the child, so the
-    /// O(bytes) cost model is observable; callers attribute per-fork work by
-    /// differencing against the snapshot's [`stats`](Self::stats).
-    fn fork(&self) -> Option<Box<dyn SatBackend>> {
-        None
-    }
+    /// query concurrently.  Returns `None` if no snapshot can be taken (an
+    /// IPASIR library whose `init` fails, say); the flow executor then
+    /// reports the solve task as a backend error.  Work counters carry over
+    /// — plus one recorded fork of [`snapshot_bytes`](Self::snapshot_bytes)
+    /// bytes on the child, so the O(bytes) cost model is observable;
+    /// callers attribute per-fork work by differencing against the
+    /// snapshot's [`stats`](Self::stats).
+    fn fork(&self) -> Option<Box<dyn SatBackend>>;
 
     /// The byte cost of one [`fork`](Self::fork): how much a snapshot clone
     /// copies.  For the bundled solver this is the arena-backed cost model
@@ -246,10 +238,6 @@ impl SatBackend for Solver {
 
     fn mask_all_decisions(&mut self) {
         Solver::mask_all_decisions(self);
-    }
-
-    fn can_fork(&self) -> bool {
-        true
     }
 
     fn fork(&self) -> Option<Box<dyn SatBackend>> {
@@ -721,10 +709,6 @@ impl SatBackend for DimacsProcessBackend {
         }
     }
 
-    fn can_fork(&self) -> bool {
-        true
-    }
-
     fn fork(&self) -> Option<Box<dyn SatBackend>> {
         // Work counters carry over — plus one recorded fork of
         // `snapshot_bytes` on the child, mirroring the bundled solver's
@@ -914,10 +898,9 @@ mod tests {
         backend.truncate_assumptions();
     }
 
-    /// The process backend advertises forkability (each query writes a fresh
-    /// CNF, so a fork is just a clone of the accumulated clause list) — this
-    /// is what lets `--jobs N` shard levels with external solvers instead of
-    /// silently degrading to sequential solving on the master.  Work
+    /// The process backend forks (each query writes a fresh CNF, so a fork
+    /// is just a clone of the accumulated clause list) — this is what lets
+    /// the flow executor run external solvers at all.  Work
     /// counters carry over and the fork records its clone cost, exactly
     /// like the bundled solver's fork contract.
     #[test]
@@ -926,7 +909,6 @@ mod tests {
         let a = backend.new_var();
         let b = backend.new_var();
         backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        assert!(backend.can_fork());
         // One (failing — the binary does not exist) query on the master, so
         // carry-over is observable.
         let _ = backend.solve_under(&[]);
@@ -934,7 +916,6 @@ mod tests {
         assert_eq!(backend.stats().solver.solves, 1);
 
         let mut fork = backend.fork().expect("process backend forks");
-        assert!(fork.can_fork());
         let forked = fork.stats();
         assert_eq!(forked.queries, 1, "work counters carry over to the fork");
         assert_eq!(forked.solver.solves, 1);

@@ -702,10 +702,6 @@ impl SatBackend for IpasirBackend {
         }
     }
 
-    fn can_fork(&self) -> bool {
-        true
-    }
-
     fn fork(&self) -> Option<Box<dyn SatBackend>> {
         // Fast path: the `ipasir_htd_clone` extension snapshots the solver
         // behind the ABI in O(bytes) with zero clause re-transmissions.

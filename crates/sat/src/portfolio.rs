@@ -475,10 +475,6 @@ impl SatBackend for PortfolioBackend {
         }
     }
 
-    fn can_fork(&self) -> bool {
-        self.members.iter().all(|member| member.can_fork())
-    }
-
     fn fork(&self) -> Option<Box<dyn SatBackend>> {
         let mut members = Vec::with_capacity(self.members.len());
         for member in &self.members {
@@ -621,6 +617,10 @@ mod tests {
         fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
             self.check = Some(check);
         }
+
+        fn fork(&self) -> Option<Box<dyn SatBackend>> {
+            None
+        }
     }
 
     fn portfolio(members: Vec<Box<dyn SatBackend>>, policy: RacePolicy) -> PortfolioBackend {
@@ -754,7 +754,6 @@ mod tests {
         let b = p.new_var();
         p.add_clause(&[Lit::pos(a), Lit::pos(b)]);
         assert_eq!(p.solve_under(&[]).unwrap(), SolveResult::Sat);
-        assert!(p.can_fork());
         assert!(p.snapshot_bytes() > 0);
         let mut fork = p.fork().expect("all members fork");
         assert_eq!(

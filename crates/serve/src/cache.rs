@@ -109,9 +109,8 @@ impl SnapshotCache {
             .iter_mut()
             .find(|e| e.key == key && e.dump == dump)
         {
-            // The builtin arena backend always forks; a non-forkable master
-            // could only get here through a future backend change, and then
-            // the honest answer is a miss, not a panic.
+            // Every shipped backend forks; a master whose fork fails (an
+            // IPASIR `init` returning null) is honestly a miss, not a panic.
             if let Some(fork) = entry.master.miter.try_fork() {
                 entry.last_used = self.clock;
                 self.hits += 1;

@@ -158,8 +158,8 @@
 //!   a positive integer.
 //! * [`HTD_PORTFOLIO`](htd_core::PORTFOLIO_ENV_VAR) — race every served
 //!   solve across a portfolio of backends (same syntax as
-//!   `--backend portfolio:…`); the members must support snapshot-forking,
-//!   and `Server::start` refuses a non-forkable choice.
+//!   `--backend portfolio:…`); `Server::start` refuses a choice whose probe
+//!   instance cannot take a snapshot fork.
 //! * [`HTD_SERVE_HEADER_TIMEOUT_MS`](HEADER_TIMEOUT_ENV_VAR) — per-read
 //!   timeout while parsing request headers, the slow-loris guard (default
 //!   5 s); a positive integer.

@@ -43,8 +43,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use htd_core::{
-    BackendChoice, DetectError, DetectionReport, DetectorConfig, EngineChoice, FlowEvent,
-    PropertyScheduler, SessionBuilder, SharedSolvePool, SolveBudget,
+    BackendChoice, DetectError, DetectionReport, DetectorConfig, FlowEvent, PropertyScheduler,
+    SessionBuilder, SharedSolvePool, SolveBudget,
 };
 use htd_ipc::{MiterSession, SessionStats};
 use htd_rtl::{netlist, ValidatedDesign};
@@ -117,8 +117,8 @@ pub struct ServeOptions {
     /// The detection configuration applied to every served job.
     pub config: DetectorConfig,
     /// The SAT backend every frozen master (and so every served job) solves
-    /// on.  Must support snapshot-forking — [`Server::start`] refuses
-    /// non-forkable choices.  Defaults to the builtin solver;
+    /// on.  Must take snapshot forks — [`Server::start`] refuses a choice
+    /// whose probe instance cannot fork.  Defaults to the builtin solver;
     /// [`from_env`](Self::from_env) resolves the strict `HTD_PORTFOLIO`
     /// default so the daemon races portfolios like any other session.
     pub backend: BackendChoice,
@@ -324,23 +324,21 @@ impl Server {
     /// # Errors
     ///
     /// Propagates socket errors from binding the address, and rejects a
-    /// backend choice that cannot be brought up or cannot snapshot-fork
-    /// (every served job runs on a fork of a frozen master, so a
-    /// non-forkable backend could never serve a single job).
+    /// backend choice that cannot be brought up or whose probe instance
+    /// cannot take a snapshot fork (every served job runs on a fork of a
+    /// frozen master, so such a backend could never serve a single job).
     pub fn start(options: ServeOptions) -> io::Result<Server> {
+        let invalid = |message: String| io::Error::new(io::ErrorKind::InvalidInput, message);
         let probe = options
             .backend
             .instantiate()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if !probe.can_fork() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "backend `{}` cannot snapshot-fork; the serve tier requires a forkable \
-                     backend (builtin, ipasir:LIB, or a portfolio of those)",
-                    options.backend
-                ),
-            ));
+            .map_err(|e| invalid(e.to_string()))?;
+        if probe.fork().is_none() {
+            return Err(invalid(format!(
+                "backend `{}` failed to take a snapshot fork; every served job runs on a fork \
+                 of a frozen master",
+                options.backend
+            )));
         }
         drop(probe);
         let listener = TcpListener::bind(&*options.addr)?;
@@ -1109,8 +1107,9 @@ fn serve_detection(
                 );
             }
         };
-        // htd-lint: allow(serve-panic-hygiene): Server::start refused non-forkable backends; a panic here is caught by the runner's catch_unwind and fails only this job
-        let fork = master.try_fork().expect("startup-validated backends fork");
+        let Some(fork) = master.try_fork() else {
+            return (JobState::Failed, Some("off"), vec![fork_failed_frame(id)]);
+        };
         (design.clone(), fork, "off")
     } else {
         let cached = lock_unpoisoned(&state.cache).fetch(key, dump);
@@ -1130,8 +1129,9 @@ fn serve_detection(
                         );
                     }
                 };
-                // htd-lint: allow(serve-panic-hygiene): Server::start refused non-forkable backends; a panic here is caught by the runner's catch_unwind and fails only this job
-                let fork = master.try_fork().expect("startup-validated backends fork");
+                let Some(fork) = master.try_fork() else {
+                    return (JobState::Failed, Some("miss"), vec![fork_failed_frame(id)]);
+                };
                 lock_unpoisoned(&state.cache).insert(
                     key,
                     dump.to_owned(),
@@ -1148,7 +1148,8 @@ fn serve_detection(
     let scheduler = PropertyScheduler::new(state.options.workers).with_level_pipelining(true);
     let mut session = match SessionBuilder::new(design)
         .config(config)
-        .engine(EngineChoice::Scheduled(scheduler))
+        .backend(state.options.backend.clone())
+        .scheduler(scheduler)
         .build_with_miter(run_miter)
     {
         Ok(session) => session,
@@ -1232,6 +1233,16 @@ fn report_frame(id: u64, report: &DetectionReport) -> Json {
         ("summary", Json::str(report.summary())),
         ("text", Json::Str(text)),
     ])
+}
+
+/// The frame of a job whose frozen master would not fork: the backend's
+/// `fork` returned `None` at run time although the startup probe forked.
+fn fork_failed_frame(id: u64) -> Json {
+    error_frame(
+        id,
+        "rejected",
+        "the backend failed to take a snapshot fork of the frozen master",
+    )
 }
 
 fn error_frame(id: u64, code: &str, message: &str) -> Json {

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use htd_core::{DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder};
+use htd_core::{DetectorConfig, PropertyScheduler, SessionBuilder};
 use htd_rtl::{netlist, Design};
 use htd_serve::client::{self, SubmitOptions};
 use htd_serve::json::Json;
@@ -49,7 +49,7 @@ fn solo_normalized_report(netlist_text: &str) -> String {
         PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).with_level_pipelining(true);
     let mut session = SessionBuilder::new(design)
         .config(DetectorConfig::default())
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()
         .unwrap();
     let report = session.run().unwrap().normalized();

@@ -4,19 +4,15 @@
 
 use std::num::NonZeroUsize;
 
-use golden_free_htd::detect::{
-    DetectorConfig, EngineChoice, PipelineStats, PropertyScheduler, SessionBuilder,
-};
+use golden_free_htd::detect::{DetectorConfig, PipelineStats, PropertyScheduler, SessionBuilder};
 use golden_free_htd::ipc::CheckerOptions;
 use golden_free_htd::rtl::{Design, ValidatedDesign};
 use golden_free_htd::trusthub::registry::Benchmark;
 
-fn scheduler(jobs: usize, pipeline: bool) -> EngineChoice {
-    EngineChoice::Scheduled(
-        PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap())
-            .with_level_pipelining(pipeline)
-            .with_oversubscription(true),
-    )
+fn scheduler(jobs: usize, pipeline: bool) -> PropertyScheduler {
+    PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap())
+        .with_level_pipelining(pipeline)
+        .with_oversubscription(true)
 }
 
 fn run_benchmark(benchmark: Benchmark, jobs: usize, pipeline: bool) -> PipelineStats {
@@ -27,7 +23,7 @@ fn run_benchmark(benchmark: Benchmark, jobs: usize, pipeline: bool) -> PipelineS
     };
     let mut session = SessionBuilder::new(design)
         .config(config)
-        .engine(scheduler(jobs, pipeline))
+        .scheduler(scheduler(jobs, pipeline))
         .build()
         .unwrap();
     session.run().unwrap();
@@ -124,7 +120,7 @@ fn cross_level_tasks_solve_concurrently() {
     let mut best = PipelineStats::default();
     for _ in 0..5 {
         let mut session = SessionBuilder::new(mult_pipeline(5))
-            .engine(scheduler(2, true))
+            .scheduler(scheduler(2, true))
             .build()
             .unwrap();
         session.run().unwrap();
@@ -143,7 +139,7 @@ fn cross_level_tasks_solve_concurrently() {
 fn hard_pipeline_reports_are_schedule_invariant() {
     let run = |jobs: usize, pipeline: bool| {
         SessionBuilder::new(mult_pipeline(4))
-            .engine(scheduler(jobs, pipeline))
+            .scheduler(scheduler(jobs, pipeline))
             .build()
             .unwrap()
             .run()
@@ -162,7 +158,7 @@ fn hard_pipeline_reports_are_schedule_invariant() {
 #[test]
 fn fork_cost_model_reaches_reports_and_pipeline_stats() {
     let mut session = SessionBuilder::new(mult_pipeline(4))
-        .engine(scheduler(2, true))
+        .scheduler(scheduler(2, true))
         .build()
         .unwrap();
     let report = session.run().unwrap();

@@ -3,7 +3,7 @@
 //! `HTD_PORTFOLIO` / `HTD_SERVE_*`), in a test
 //! binary of their own: mutating process-global environment variables must
 //! not race sibling tests that read them through `CheckerOptions::default()`
-//! or `PropertyScheduler::default_jobs()` (cargo runs test *binaries*
+//! or `PropertyScheduler::try_default_jobs()` (cargo runs test *binaries*
 //! sequentially, but tests within one binary in parallel — which is why
 //! every test here serialises on [`env_lock`]).
 //!
@@ -115,28 +115,24 @@ fn malformed_gc_thresholds_are_rejected() {
 fn jobs_env_override_is_strict() {
     let _guard = env_lock();
     assert_eq!(
-        with_env("HTD_JOBS", "3", PropertyScheduler::default_jobs).get(),
-        3
+        with_env("HTD_JOBS", "3", PropertyScheduler::try_default_jobs),
+        Ok(std::num::NonZeroUsize::new(3).unwrap())
     );
     assert_eq!(
-        with_env("HTD_JOBS", " 2 ", PropertyScheduler::default_jobs).get(),
-        2
+        with_env("HTD_JOBS", " 2 ", PropertyScheduler::try_default_jobs),
+        Ok(std::num::NonZeroUsize::new(2).unwrap())
     );
     for bad in ["0", "two", "-1", "", "4x"] {
-        let message = panic_message_with_env("HTD_JOBS", bad, || {
-            let _ = PropertyScheduler::default_jobs();
-        });
-        assert!(
-            message.contains("HTD_JOBS") && message.contains("positive integer"),
-            "HTD_JOBS={bad}: {message}"
-        );
         let error = with_env("HTD_JOBS", bad, PropertyScheduler::try_default_jobs)
             .expect_err("malformed HTD_JOBS is an error");
-        assert!(error.contains("HTD_JOBS"), "{error}");
+        assert!(
+            error.contains("HTD_JOBS") && error.contains("positive integer"),
+            "HTD_JOBS={bad}: {error}"
+        );
     }
     assert_eq!(
-        without_env("HTD_JOBS", PropertyScheduler::default_jobs).get(),
-        1,
+        without_env("HTD_JOBS", PropertyScheduler::try_default_jobs),
+        Ok(std::num::NonZeroUsize::new(1).unwrap()),
         "unset default"
     );
 }
@@ -149,46 +145,45 @@ fn jobs_env_override_is_strict() {
 fn level_pipeline_env_override_is_strict_and_understands_off() {
     let _guard = env_lock();
     for on in ["1", "true", "on", "yes", "TRUE", " On "] {
-        assert!(
+        assert_eq!(
             with_env(
                 "HTD_LEVEL_PIPELINE",
                 on,
-                PropertyScheduler::default_level_pipelining
+                PropertyScheduler::try_default_level_pipelining
             ),
+            Ok(true),
             "HTD_LEVEL_PIPELINE={on} must enable pipelining"
         );
     }
     for off in ["0", "false", "off", "no", "OFF", "False"] {
-        assert!(
-            !with_env(
+        assert_eq!(
+            with_env(
                 "HTD_LEVEL_PIPELINE",
                 off,
-                PropertyScheduler::default_level_pipelining
+                PropertyScheduler::try_default_level_pipelining
             ),
+            Ok(false),
             "HTD_LEVEL_PIPELINE={off} must disable pipelining"
         );
     }
     for bad in ["2", "banana", "enabled", ""] {
-        let message = panic_message_with_env("HTD_LEVEL_PIPELINE", bad, || {
-            let _ = PropertyScheduler::default_level_pipelining();
-        });
-        assert!(
-            message.contains("HTD_LEVEL_PIPELINE"),
-            "HTD_LEVEL_PIPELINE={bad}: {message}"
-        );
         let error = with_env(
             "HTD_LEVEL_PIPELINE",
             bad,
             PropertyScheduler::try_default_level_pipelining,
         )
         .expect_err("malformed HTD_LEVEL_PIPELINE is an error");
-        assert!(error.contains("HTD_LEVEL_PIPELINE"), "{error}");
+        assert!(
+            error.contains("HTD_LEVEL_PIPELINE"),
+            "HTD_LEVEL_PIPELINE={bad}: {error}"
+        );
     }
-    assert!(
+    assert_eq!(
         without_env(
             "HTD_LEVEL_PIPELINE",
-            PropertyScheduler::default_level_pipelining
+            PropertyScheduler::try_default_level_pipelining
         ),
+        Ok(true),
         "unset default is on"
     );
 }
@@ -216,8 +211,9 @@ fn portfolio_env_override_is_strict() {
     let choice = with_env(
         PORTFOLIO_ENV_VAR,
         "portfolio:fastest-cex,builtin,dimacs:/bin/solver",
-        BackendChoice::default_from_env,
-    );
+        BackendChoice::try_default_from_env,
+    )
+    .expect("well-formed spec");
     assert_eq!(
         choice,
         BackendChoice::portfolio(
@@ -233,10 +229,6 @@ fn portfolio_env_override_is_strict() {
             error.contains("HTD_PORTFOLIO"),
             "HTD_PORTFOLIO={bad}: {error}"
         );
-        let message = panic_message_with_env(PORTFOLIO_ENV_VAR, bad, || {
-            let _ = BackendChoice::default_from_env();
-        });
-        assert!(message.contains("HTD_PORTFOLIO"), "{message}");
         // The serve tier consults the same variable and refuses the same way.
         let error = with_env(PORTFOLIO_ENV_VAR, bad, serve::ServeOptions::from_env)
             .expect_err("ServeOptions::from_env propagates the refusal");
@@ -496,4 +488,120 @@ fn serve_fault_env_is_refused_by_builds_without_the_hooks() {
     );
     assert!("solve-stall:soon".parse::<FaultSpec>().is_err());
     assert!("coffee-spill".parse::<FaultSpec>().is_err());
+}
+
+/// A small design every session in this binary accepts.
+fn latch() -> golden_free_htd::rtl::ValidatedDesign {
+    let mut d = golden_free_htd::rtl::Design::new("latch");
+    let input = d.add_input("in", 8).unwrap();
+    let r = d.add_register("r", 8, 0).unwrap();
+    d.set_register_next(r, d.signal(input)).unwrap();
+    d.add_output("out", d.signal(r)).unwrap();
+    d.validated().unwrap()
+}
+
+/// Runs `body` with every session-default variable set to garbage.
+fn with_malformed_session_env<R>(body: impl FnOnce() -> R) -> R {
+    with_env("HTD_JOBS", "two", || {
+        with_env("HTD_LEVEL_PIPELINE", "bogus", || {
+            with_env("HTD_PORTFOLIO", "z3", body)
+        })
+    })
+}
+
+/// The builder consults `HTD_JOBS` / `HTD_LEVEL_PIPELINE` / `HTD_PORTFOLIO`
+/// only for a choice the caller left unset, so explicit choices run even
+/// in a malformed environment (`HTD_JOBS=two htd detect … --jobs 2` used to
+/// panic).
+#[test]
+fn explicit_session_choices_ignore_malformed_env_defaults() {
+    use golden_free_htd::detect::{BackendChoice, SessionBuilder};
+    use std::num::NonZeroUsize;
+
+    let _guard = env_lock();
+    let report = with_malformed_session_env(|| {
+        let scheduler =
+            PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).with_level_pipelining(true);
+        SessionBuilder::new(latch())
+            .backend(BackendChoice::Builtin)
+            .scheduler(scheduler)
+            .build()
+            .expect("every choice is explicit")
+            .run()
+            .expect("the flow runs")
+    });
+    assert!(report.outcome.is_secure(), "{report}");
+}
+
+/// An unset choice resolves its environment default at `build`, and a
+/// malformed default is a structured `InvalidConfig` naming the variable —
+/// never a panic.
+#[test]
+fn unset_session_choices_reject_malformed_env_defaults() {
+    use golden_free_htd::detect::{BackendChoice, DetectError, SessionBuilder};
+    use std::num::NonZeroUsize;
+
+    let _guard = env_lock();
+    // Every variable is malformed; each build leaves exactly one choice
+    // unset, so the error must name that choice's variable and no other.
+    let jobs = NonZeroUsize::new(2).unwrap();
+    for var in ["HTD_PORTFOLIO", "HTD_JOBS", "HTD_LEVEL_PIPELINE"] {
+        let mut builder = SessionBuilder::new(latch());
+        if var != "HTD_PORTFOLIO" {
+            builder = builder.backend(BackendChoice::Builtin);
+        }
+        match var {
+            "HTD_JOBS" => {}
+            "HTD_LEVEL_PIPELINE" => builder = builder.scheduler(PropertyScheduler::new(jobs)),
+            _ => {
+                builder =
+                    builder.scheduler(PropertyScheduler::new(jobs).with_level_pipelining(true));
+            }
+        }
+        match with_malformed_session_env(|| builder.build()) {
+            Err(DetectError::InvalidConfig { reason }) => {
+                assert!(reason.contains(var), "{var}: {reason}");
+            }
+            other => panic!("{var}: expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    // A well-formed default is honoured for the unset field only.
+    let session = with_env("HTD_LEVEL_PIPELINE", "off", || {
+        with_env("HTD_JOBS", "3", || {
+            SessionBuilder::new(latch())
+                .backend(BackendChoice::Builtin)
+                .build()
+                .expect("well-formed defaults")
+        })
+    });
+    assert_eq!(session.scheduler().jobs().get(), 3);
+    assert!(!session.scheduler().pipelines_levels());
+}
+
+/// The daemon pins level pipelining on for every job, so it never consults
+/// `HTD_LEVEL_PIPELINE`: a malformed value neither stops it from starting
+/// nor fails the jobs it runs (each job used to stream `internal … job
+/// runner panicked`).
+#[test]
+fn serve_ignores_a_malformed_level_pipeline() {
+    let _guard = env_lock();
+    let netlist = golden_free_htd::rtl::netlist::dump(&latch());
+    let submission = with_env("HTD_LEVEL_PIPELINE", "bogus", || {
+        let server = serve::Server::start(serve::ServeOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            ..serve::ServeOptions::default()
+        })
+        .expect("the daemon starts");
+        let addr = server.addr().to_string();
+        let submission = serve::client::submit(&addr, &netlist, &mut |_| {});
+        server.stop();
+        submission
+    })
+    .expect("the job runs");
+    assert!(
+        submission.report_text.contains("SECURE"),
+        "{}",
+        submission.report_text
+    );
 }

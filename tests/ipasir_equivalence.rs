@@ -25,7 +25,7 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use golden_free_htd::detect::{
-    BackendChoice, DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
+    BackendChoice, DetectionReport, DetectorConfig, PropertyScheduler, SessionBuilder,
 };
 use golden_free_htd::sat::{
     BudgetTracker, IpasirBackend, Lit, SatBackend, SolveBudget, SolveResult, SolverStats,
@@ -75,7 +75,7 @@ fn run_with(
     SessionBuilder::new(design)
         .config(config)
         .backend(backend)
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()
         .expect("session builder accepts the design")
         .run()

@@ -16,9 +16,7 @@
 
 use std::num::NonZeroUsize;
 
-use golden_free_htd::detect::{
-    DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use golden_free_htd::detect::{DetectionReport, DetectorConfig, PropertyScheduler, SessionBuilder};
 use golden_free_htd::trusthub::registry::Benchmark;
 
 fn run_with(benchmark: Benchmark, jobs: usize, pipeline: bool) -> DetectionReport {
@@ -32,7 +30,7 @@ fn run_with(benchmark: Benchmark, jobs: usize, pipeline: bool) -> DetectionRepor
         .with_oversubscription(true);
     SessionBuilder::new(design)
         .config(config)
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()
         .expect("session builder accepts the design")
         .run()

@@ -23,8 +23,8 @@ use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 use golden_free_htd::detect::{
-    BackendChoice, DetectionOutcome, DetectionReport, DetectorConfig, EngineChoice,
-    PropertyScheduler, RacePolicy, SessionBuilder,
+    BackendChoice, DetectionOutcome, DetectionReport, DetectorConfig, PropertyScheduler,
+    RacePolicy, SessionBuilder,
 };
 use golden_free_htd::ipc::{CheckOutcome, Counterexample};
 use golden_free_htd::sat::SolverStats;
@@ -84,7 +84,7 @@ fn run_with(
     SessionBuilder::new(design)
         .config(config)
         .backend(backend)
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()
         .expect("session builder accepts the design")
         .run()

@@ -18,8 +18,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use golden_free_htd::detect::{
-    BackendChoice, DetectError, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-    SolveBudget,
+    BackendChoice, DetectError, DetectorConfig, PropertyScheduler, SessionBuilder, SolveBudget,
 };
 use golden_free_htd::rtl::{netlist, Design};
 use golden_free_htd::serve::client::{self, SubmitOptions};
@@ -72,7 +71,7 @@ fn run_budgeted(
     let mut session = SessionBuilder::new(design)
         .config(config)
         .backend(backend)
-        .engine(EngineChoice::Scheduled(scheduler))
+        .scheduler(scheduler)
         .build()?;
     session.run()
 }
