@@ -487,7 +487,7 @@ fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fin
     }
 }
 
-const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats", "RaceStats"];
+const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats", "RaceStats", "CheckStats"];
 
 fn stats_fn_name(name: &str) -> bool {
     name == "delta_since"

@@ -79,7 +79,9 @@ pub struct PropertyTrace {
     pub name: String,
     /// Names of the signals proven equal by this property.
     pub proves: Vec<String>,
-    /// The final report (after any resolution iterations).
+    /// The final report (after any resolution iterations).  Its outcome is
+    /// the last round's; its stats sum every round, the discarded spurious
+    /// ones included.
     pub report: PropertyReport,
     /// How many spurious counterexamples were discharged by adding equality
     /// assumptions (Sec. V-B) before the final verdict.

@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
-use htd_ipc::{CheckOutcome, MiterSession, PreparedLevel, TaskOutcome};
+use htd_ipc::{CheckOutcome, CheckStats, MiterSession, PreparedLevel, TaskOutcome};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -713,8 +713,10 @@ pub(crate) fn run_pipelined(
             let proves = names(&current_property.prove_equal);
             let mut current_job = Arc::clone(&level_jobs[level_idx]);
             let mut resolved = 0usize;
+            // Work of the rounds a spurious counterexample discarded.
+            let mut discarded = CheckStats::default();
 
-            let (trace, failed) = loop {
+            let (mut trace, failed) = loop {
                 if inline {
                     // Solve the frontier generation right here: tasks
                     // fork off the master when the generation skipped
@@ -882,6 +884,7 @@ pub(crate) fn run_pipelined(
                             });
                         }
                         resolved += 1;
+                        discarded.accumulate(&check.stats);
                         // Assume the benign fanin of the whole level
                         // equal, not only the registers this model
                         // happened to flip (see `check_with_resolution`).
@@ -943,6 +946,9 @@ pub(crate) fn run_pipelined(
                 }
             };
 
+            // The kept round's report carries the whole level's work, so
+            // per-property stats sum to `solver_totals`.
+            trace.report.stats.accumulate(&discarded);
             spurious_total += trace.spurious_resolved;
             properties.push(trace);
             if let Some(cex) = failed {

@@ -101,6 +101,30 @@ impl BlastContext {
         self.signal_values.insert(signal, bits);
     }
 
+    /// Binds each register of `regs` this context has not bound yet to its
+    /// next-state word, lowered in `current`, the previous frame's context.
+    ///
+    /// This is demand-driven frame binding: a frame-`t+1` context fed only
+    /// the register support of the signals lowered in it holds exactly the
+    /// next-state cones those signals read, and a register outside every
+    /// such cone is never lowered.
+    pub(crate) fn bind_next_states(
+        &mut self,
+        current: &mut BlastContext,
+        design: &Design,
+        aig: &mut Aig,
+        regs: &[SignalId],
+    ) {
+        for &r in regs {
+            if self.signal_values.contains_key(&r) {
+                continue;
+            }
+            let next = design.signal_info(r).driver().expect("validated design");
+            let bits = current.expr(design, aig, next);
+            self.signal_values.insert(r, bits);
+        }
+    }
+
     /// The binding of a signal, if any.
     #[must_use]
     pub fn binding(&self, signal: SignalId) -> Option<&BitVec> {

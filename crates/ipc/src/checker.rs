@@ -20,6 +20,7 @@
 use crate::fxhash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
+use htd_rtl::structural::combinational_support;
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
 use htd_sat::SolveResult;
 
@@ -198,7 +199,14 @@ impl<'a> PropertyChecker<'a> {
         }
 
         // Consequent: values of the proved signals at time t+1 per instance.
-        let mut ctx_t1: [Option<BlastContext>; 2] = [None, None];
+        // The frame-(t+1) contexts bind a register's next state only once a
+        // wire/output proof reads it.
+        let mut ctx_t1: [BlastContext; 2] = [BlastContext::new(), BlastContext::new()];
+        for ctx in &mut ctx_t1 {
+            for (s, bits) in &inputs[1] {
+                ctx.bind(*s, bits.clone());
+            }
+        }
         let mut prove_values: Vec<(SignalId, BitVec, BitVec)> = Vec::new();
         for &sig in &property.prove_equal {
             let info = d.signal_info(sig);
@@ -210,28 +218,12 @@ impl<'a> PropertyChecker<'a> {
                     prove_values.push((sig, b1, b2));
                 }
                 SignalKind::Output | SignalKind::Wire => {
+                    let support = driver_registers(self.design, sig);
                     for inst in 0..2 {
-                        if ctx_t1[inst].is_none() {
-                            let mut next_ctx = BlastContext::new();
-                            for (s, bits) in &inputs[1] {
-                                next_ctx.bind(*s, bits.clone());
-                            }
-                            for r in d.registers() {
-                                let next = d.signal_info(r).driver().expect("validated design");
-                                let bits = ctx_t[inst].expr(d, &mut aig, next);
-                                next_ctx.bind(r, bits);
-                            }
-                            ctx_t1[inst] = Some(next_ctx);
-                        }
+                        ctx_t1[inst].bind_next_states(&mut ctx_t[inst], d, &mut aig, &support);
                     }
-                    let b1 = ctx_t1[0]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut aig, sig);
-                    let b2 = ctx_t1[1]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut aig, sig);
+                    let b1 = ctx_t1[0].signal(d, &mut aig, sig);
+                    let b2 = ctx_t1[1].signal(d, &mut aig, sig);
                     prove_values.push((sig, b1, b2));
                 }
                 SignalKind::Input => {
@@ -257,6 +249,12 @@ impl<'a> PropertyChecker<'a> {
     /// This is the un-decomposed form used to validate Theorem 1 (the
     /// decomposed init/fanout properties are equivalent to this one); the
     /// iterative flow in `htd-core` uses [`check`](Self::check) instead.
+    ///
+    /// Unlike [`check`](Self::check), which binds a frame's next state only
+    /// for the registers its wire/output proofs read, this unrolling lowers
+    /// every register's next state in every frame.  That is deliberate: as
+    /// the independent oracle for Theorem 1 it must not share the
+    /// support-driven binding it is used to cross-check.
     #[must_use]
     pub fn check_aggregate(&self, levels: &[Vec<SignalId>], name: &str) -> PropertyReport {
         // htd-lint: allow(determinism): feeds PropertyReport.duration only, zeroed by the normalized rendering
@@ -521,4 +519,51 @@ fn fresh_words(
         .iter()
         .map(|&s| (s, fresh_word(aig, d.signal_width(s))))
         .collect()
+}
+
+/// The registers in the combinational support of `sig`'s driver
+/// (transitively through wires).
+pub(crate) fn driver_registers(design: &ValidatedDesign, sig: SignalId) -> Vec<SignalId> {
+    let d = design.design();
+    let driver = d.signal_info(sig).driver().expect("validated design");
+    combinational_support(design, driver)
+        .into_iter()
+        .filter(|s| d.signal_info(*s).kind().is_register())
+        .collect()
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use htd_rtl::Design;
+
+    /// An output reading register `a`, next to an unrelated register `b`
+    /// whose next state is a `width`-bit multiplier.
+    pub(crate) fn output_beside_a_multiplier(width: u32) -> ValidatedDesign {
+        let mut d = Design::new("output_beside_a_multiplier");
+        let input = d.add_input("in", 4).unwrap();
+        let a = d.add_register("a", 4, 0).unwrap();
+        let b = d.add_register("b", width, 0).unwrap();
+        let a_next = d.xor(d.signal(a), d.signal(input)).unwrap();
+        d.set_register_next(a, a_next).unwrap();
+        let b_next = d.mul(d.signal(b), d.signal(b)).unwrap();
+        d.set_register_next(b, b_next).unwrap();
+        d.add_output("out", d.signal(a)).unwrap();
+        d.add_output("out_b", d.signal(b)).unwrap();
+        d.validated().unwrap()
+    }
+
+    #[test]
+    fn an_output_proof_lowers_only_the_next_states_it_reads() {
+        let ands = |width| {
+            let design = output_beside_a_multiplier(width);
+            let out = design.design().require("out").unwrap();
+            let property = IntervalProperty::new("init_property", vec![], vec![out]);
+            let report = PropertyChecker::new(&design).check(&property);
+            assert!(!report.holds(), "`a` may start unequal");
+            report.stats.aig_ands
+        };
+        // `b`'s width only changes its state variables, never the gates.
+        assert_eq!(ands(4), ands(32));
+    }
 }

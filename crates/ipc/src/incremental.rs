@@ -48,7 +48,7 @@ use htd_sat::{BackendError, Lit, SatBackend, SolveResult, SolverStats, Var};
 
 use crate::aig::{Aig, AigLit};
 use crate::bitblast::{equal, BitVec, BlastContext};
-use crate::checker::CheckerOptions;
+use crate::checker::{driver_registers, CheckerOptions};
 use crate::cnf::IncrementalEncoder;
 use crate::property::{CheckOutcome, CheckStats, Counterexample, IntervalProperty, PropertyReport};
 
@@ -467,8 +467,9 @@ struct EpochCtx {
     key: Vec<SignalId>,
     /// Frame-`t` contexts of the two instances.
     ctx_t: [BlastContext; 2],
-    /// Frame-`t+1` contexts, built lazily when a wire/output is proved.
-    ctx_t1: [Option<BlastContext>; 2],
+    /// Frame-`t+1` contexts: `inputs[1]` plus the next-state words of only
+    /// the registers the epoch's wire/output proofs have read so far.
+    ctx_t1: [BlastContext; 2],
     /// Per-instance starting-state words under this epoch's sharing.
     regs: [FxHashMap<SignalId, BitVec>; 2],
 }
@@ -996,18 +997,12 @@ impl MiterSession {
         self.backend.stats().solver.delta_since(&before.solver)
     }
 
-    /// The registers in the combinational support of `sig`'s driver
-    /// (transitively through wires), cached for the session's lifetime.
+    /// [`driver_registers`], cached for the session's lifetime.
     fn driver_reg_support(&mut self, design: &ValidatedDesign, sig: SignalId) -> Vec<SignalId> {
         if let Some(cached) = self.support_cache.get(&sig) {
             return cached.clone();
         }
-        let d = design.design();
-        let driver = d.signal_info(sig).driver().expect("validated design");
-        let regs: Vec<SignalId> = htd_rtl::structural::combinational_support(design, driver)
-            .into_iter()
-            .filter(|s| d.signal_info(*s).kind().is_register())
-            .collect();
+        let regs = driver_registers(design, sig);
         self.support_cache.insert(sig, regs.clone());
         regs
     }
@@ -1073,9 +1068,13 @@ impl MiterSession {
         self.stats.epoch_rebinds += 1;
         let d = design.design();
         let mut ctx_t: [BlastContext; 2] = [BlastContext::new(), BlastContext::new()];
-        for ctx in &mut ctx_t {
+        let mut ctx_t1: [BlastContext; 2] = [BlastContext::new(), BlastContext::new()];
+        for inst in 0..2 {
             for (s, bits) in &self.inputs[0] {
-                ctx.bind(*s, bits.clone());
+                ctx_t[inst].bind(*s, bits.clone());
+            }
+            for (s, bits) in &self.inputs[1] {
+                ctx_t1[inst].bind(*s, bits.clone());
             }
         }
         let mut regs: [FxHashMap<SignalId, BitVec>; 2] =
@@ -1104,7 +1103,7 @@ impl MiterSession {
         EpochCtx {
             key,
             ctx_t,
-            ctx_t1: [None, None],
+            ctx_t1,
             regs,
         }
     }
@@ -1141,8 +1140,9 @@ impl MiterSession {
 
     /// Lowers one prove signal's next-cycle value in both instances.
     /// Registers are proved through their drivers at `t`; wires and outputs
-    /// through the (lazily built) frame-`t+1` contexts.  Inputs are shared by
-    /// construction — nothing to prove, `None`.
+    /// through the frame-`t+1` contexts, after binding the registers in
+    /// their driver's support that no earlier proof of the epoch bound.
+    /// Inputs are shared by construction — nothing to prove, `None`.
     fn lower_prove_signal(
         &mut self,
         design: &ValidatedDesign,
@@ -1159,30 +1159,13 @@ impl MiterSession {
                 Some((b1, b2))
             }
             SignalKind::Output | SignalKind::Wire => {
+                let support = self.driver_reg_support(design, sig);
+                let EpochCtx { ctx_t, ctx_t1, .. } = epoch;
                 for inst in 0..2 {
-                    if epoch.ctx_t1[inst].is_none() {
-                        let mut next_ctx = BlastContext::new();
-                        for (s, bits) in &self.inputs[1] {
-                            next_ctx.bind(*s, bits.clone());
-                        }
-                        for r in d.registers() {
-                            let next = d.signal_info(r).driver().expect("validated design");
-                            let bits = epoch.ctx_t[inst].expr(d, &mut self.aig, next);
-                            next_ctx.bind(r, bits);
-                        }
-                        epoch.ctx_t1[inst] = Some(next_ctx);
-                    }
+                    ctx_t1[inst].bind_next_states(&mut ctx_t[inst], d, &mut self.aig, &support);
                 }
-                let b1 =
-                    epoch.ctx_t1[0]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut self.aig, sig);
-                let b2 =
-                    epoch.ctx_t1[1]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut self.aig, sig);
+                let b1 = ctx_t1[0].signal(d, &mut self.aig, sig);
+                let b2 = ctx_t1[1].signal(d, &mut self.aig, sig);
                 Some((b1, b2))
             }
             SignalKind::Input => None,
@@ -1227,6 +1210,7 @@ fn fresh_word(aig: &mut Aig, width: u32) -> BitVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checker::tests::output_beside_a_multiplier;
     use crate::PropertyChecker;
     use htd_rtl::Design;
     use htd_sat::{BackendStats, Solver};
@@ -1515,6 +1499,90 @@ mod tests {
         }
         fn fork(&self) -> Option<Box<dyn SatBackend>> {
             None
+        }
+    }
+
+    #[test]
+    fn an_output_proof_lowers_only_the_next_states_it_reads() {
+        let nodes = |width| {
+            let design = output_beside_a_multiplier(width);
+            let out = design.design().require("out").unwrap();
+            let property = IntervalProperty::new("init_property", vec![], vec![out]);
+            let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+            // The report's `aig_nodes` is the prepared level's.
+            let report = check_inline(&mut session, &design, &property).unwrap();
+            assert!(!report.holds(), "`a` may start unequal");
+            report.stats.aig_nodes
+        };
+        assert!(nodes(4) > 0);
+        assert_eq!(nodes(4), nodes(32));
+    }
+
+    /// Two wires with different register supports, plus a register `d`
+    /// neither reads.
+    fn two_wires() -> ValidatedDesign {
+        let mut d = Design::new("two_wires");
+        let input = d.add_input("in", 4).unwrap();
+        let [a, b, c, unread] =
+            ["a", "b", "c", "d"].map(|name| d.add_register(name, 4, 0).unwrap());
+        for r in [a, b, c] {
+            let next = d.xor(d.signal(r), d.signal(input)).unwrap();
+            d.set_register_next(r, next).unwrap();
+        }
+        let unread_next = d.mul(d.signal(unread), d.signal(unread)).unwrap();
+        d.set_register_next(unread, unread_next).unwrap();
+        let w1 = d.and(d.signal(a), d.signal(c)).unwrap();
+        let w1 = d.add_wire("w1", w1).unwrap();
+        let w2 = d.xor(d.signal(b), d.signal(c)).unwrap();
+        let w2 = d.add_wire("w2", w2).unwrap();
+        d.add_output("out1", d.signal(w1)).unwrap();
+        d.add_output("out2", d.signal(w2)).unwrap();
+        d.add_output("out_d", d.signal(unread)).unwrap();
+        d.validated().unwrap()
+    }
+
+    #[test]
+    fn a_second_wire_extends_the_epochs_next_frame_binding() {
+        let design = two_wires();
+        let d = design.design();
+        let [a, b, c, unread, w1, w2] =
+            ["a", "b", "c", "d", "w1", "w2"].map(|name| d.require(name).unwrap());
+        // Unshared options: the antecedent becomes explicit constraints, so
+        // the held property is lowered and solved, not proved structurally.
+        let unshared = CheckerOptions {
+            share_assumed_equal: false,
+            ..CheckerOptions::default()
+        };
+        let cases = [
+            (
+                CheckerOptions::default(),
+                IntervalProperty::new("init_property", vec![], vec![w1, w2]),
+            ),
+            (
+                unshared,
+                IntervalProperty::new("fanout_property_1", vec![a, b, c], vec![w1, w2]),
+            ),
+        ];
+        for (options, property) in cases {
+            let mut session = MiterSession::with_options(&design, options, Box::new(Solver::new()));
+            let report = check_inline(&mut session, &design, &property).unwrap();
+            let first = PropertyChecker::with_options(&design, options).check(&property);
+            assert_eq!(report.holds(), first.holds(), "{}", property.name);
+            let epoch = session.epoch.as_ref().expect("the level bound an epoch");
+            for ctx in &epoch.ctx_t1 {
+                for r in [a, b, c] {
+                    assert!(
+                        ctx.binding(r).is_some(),
+                        "{}: read register unbound",
+                        property.name
+                    );
+                }
+                assert!(
+                    ctx.binding(unread).is_none(),
+                    "{}: unread register bound",
+                    property.name
+                );
+            }
         }
     }
 

@@ -198,6 +198,32 @@ pub struct CheckStats {
     pub duration: Duration,
 }
 
+impl CheckStats {
+    /// Adds another check's work field by field: a level's spurious
+    /// resolution rounds fold into the report of the round that is kept,
+    /// so per-property stats sum to the flow's solver totals.
+    pub fn accumulate(&mut self, other: &CheckStats) {
+        // Exhaustive destructuring on purpose: a new field must decide how
+        // it aggregates here, never be silently dropped.
+        let CheckStats {
+            aig_nodes,
+            aig_ands,
+            strash_hits,
+            cnf_vars,
+            cnf_clauses,
+            solver,
+            duration,
+        } = *other;
+        self.aig_nodes += aig_nodes;
+        self.aig_ands += aig_ands;
+        self.strash_hits += strash_hits;
+        self.cnf_vars += cnf_vars;
+        self.cnf_clauses += cnf_clauses;
+        self.solver.accumulate(&solver);
+        self.duration += duration;
+    }
+}
+
 /// The result of one property check: outcome plus statistics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PropertyReport {
